@@ -33,10 +33,12 @@ struct ExperimentSpec {
 
   // Event-domain count for the conservative parallel engine (src/sim/
   // parallel/): 1 = the historical single-threaded path, N > 1 shards the
-  // flows over N domains synchronized at the bottleneck. Results are
-  // byte-identical across shard counts (the differential test wall pins
-  // this), so `shards` only enters the canonical spec encoding when
-  // non-default — golden digests and cache keys keep their bytes.
+  // fixed flows over N domains synchronized at the bottleneck. The
+  // differential test wall (14 golden cells, small random configs) pins
+  // sharded runs byte-identical to serial, but at CoreScale flow counts
+  // with the default edge jitter they are known to diverge (ROADMAP item
+  // 1). `shards` only enters the canonical spec encoding when non-default,
+  // so golden digests and cache keys keep their bytes.
   int shards = 1;
 
   TcpSenderConfig tcp;
@@ -116,6 +118,12 @@ struct ExperimentResult {
   // Observational, like sim_profile: not serialized, empty on cache hits.
   uint64_t measure_sim_events = 0;
   uint64_t measure_heap_allocs = 0;
+  // FlowTable slab recycling over the whole run (DESIGN.md §12): workload
+  // flows reaped and parked, and arrivals served from a parked slab instead
+  // of the heap. Observational, like sim_profile: not serialized, empty on
+  // cache hits.
+  uint64_t slabs_recycled = 0;
+  uint64_t slab_reuses = 0;
   TraceLog trace;  // empty unless trace_interval was set
   // Per-flow congestion-event (fast-recovery entry) timestamps, covering
   // the whole run; empty unless record_congestion_log was set.

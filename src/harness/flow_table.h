@@ -23,7 +23,7 @@
 // churn: same CCA type) reuses it without touching the heap or growing the
 // arena. The caller owns the safety argument: no pending event — packet in
 // flight or lazy timer entry — may still reference the slot's endpoints
-// when recycle() runs (see churn.cc's grace-period reaper).
+// when recycle() runs (see the workload engine's grace-period reaper).
 #pragma once
 
 #include <cstddef>

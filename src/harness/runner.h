@@ -1,6 +1,9 @@
 // Builds and runs one experiment end-to-end: topology, per-flow TCP
-// endpoints with the requested CCAs, staggered starts, warm-up exclusion,
-// optional convergence-based early stop, and result extraction.
+// endpoints with the requested CCAs, staggered starts, the optional
+// open-loop workload (flow arrivals and departures), warm-up exclusion,
+// optional convergence-based early stop, and result extraction. The one
+// pipeline serves serial and sharded runs (spec.shards > 1 places the
+// fixed flows' endpoints on ShardFabric edge domains).
 #pragma once
 
 #include "src/harness/experiment.h"
@@ -19,10 +22,11 @@ namespace ccas {
 // throws BudgetExceeded when the cell overruns its event / wall-clock /
 // estimated-RSS ceiling. The harness augments budget->extra_rss_bytes
 // with its own footprint (drop log, congestion log, per-flow state); the
-// caller's budget object is not mutated. A run that stays within budget
-// is byte-identical to run_experiment(spec) — the budget only observes.
-// nullptr (or a budget with no limits set) behaves exactly like the
-// one-argument overload.
+// caller's budget object is not mutated. Sharded runs enforce the event
+// and RSS ceilings at window barriers on counts summed over every
+// simulator. A run that stays within budget is byte-identical to
+// run_experiment(spec) — the budget only observes. nullptr (or a budget
+// with no limits set) behaves exactly like the one-argument overload.
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentSpec& spec,
                                               const SimBudget* budget);
 

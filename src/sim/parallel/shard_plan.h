@@ -6,10 +6,10 @@
 // with their pacing/RTO/delack/GRO timers) run together on one edge
 // domain. Flows are dealt round-robin so same-group flows spread evenly.
 //
-// Flows at ids >= sharded_flows are core-resident: the churn extension
-// creates flows dynamically from the master RNG in arrival order, which
-// only the core's event order can reproduce, so dynamic flows keep their
-// endpoints on the core and never cross a domain boundary.
+// Flows at ids >= sharded_flows are core-resident: the workload engine
+// creates flows dynamically in arrival order, driven by core events, so
+// dynamic flows keep their endpoints on the core and never cross a
+// domain boundary.
 #pragma once
 
 #include <cstdint>

@@ -71,8 +71,8 @@ class Timer final : public EventHandler {
   // a cancelled or superseded timer keeps each pushed entry until it fires
   // (removal is lazy), and a re-arm-earlier can leave two entries live at
   // once. The owner of a Timer must not be destroyed while an entry is
-  // pending, or the dispatch would be a use-after-free; the churn
-  // harness's slot reaper polls these before recycling a flow slab
+  // pending, or the dispatch would be a use-after-free; the workload
+  // engine's slot reaper polls these before recycling a flow slab
   // (DESIGN.md §12).
   [[nodiscard]] bool has_pending_entry() const { return pending_entries_ > 0; }
   // Timestamp of the last pending entry to fire; Time::zero() when none is

@@ -30,7 +30,7 @@ struct TcpSenderConfig {
   bool sack_enabled = true;
   // Application data to transfer, in segments; 0 = infinite source (the
   // paper's long-running flows). Finite flows complete once everything is
-  // cumulatively acknowledged (used by the churn extension).
+  // cumulatively acknowledged (used by the workload engine).
   uint64_t data_segments = 0;
   // RTO re-arm coalescing slack (Timer::set_rearm_slack): an earlier RTO
   // re-arm reuses a pending expiry at most this much later instead of
@@ -132,7 +132,7 @@ class TcpSender final : public PacketSink {
   }
 
   // Timestamp of the last pending timer queue entry (RTO or pacing) still
-  // referencing this sender; Time::zero() when none. The churn reaper must
+  // referencing this sender; Time::zero() when none. The workload reaper must
   // see zero (or a time in the past) before recycling the flow's slab —
   // see Timer::has_pending_entry().
   [[nodiscard]] Time latest_timer_entry() const {

@@ -21,9 +21,9 @@ constexpr uint32_t kTagAppTimer = 2;
 }  // namespace
 
 TimeDelta workload_reap_grace(const DumbbellConfig& net, TimeDelta max_rtt) {
-  // Same bound as the churn reaper: two max-RTTs plus twice the worst-case
-  // queue drain plus every configured jitter/reorder hold, with flat slack
-  // dominating the delack/GRO timeouts. Lazily-cancelled timer entries can
+  // Two max-RTTs plus twice the worst-case queue drain plus every
+  // configured jitter/reorder hold, with flat slack dominating the
+  // delack/GRO timeouts. Lazily-cancelled timer entries can
   // outlive any grace; the reaper re-checks them and defers past the last.
   TimeDelta drain = TimeDelta::zero();
   if (!net.bottleneck_rate.is_infinite()) {

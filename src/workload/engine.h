@@ -1,17 +1,18 @@
-// Open-loop workload engine: drives the churn/FlowTable machinery from a
+// Open-loop workload engine: drives flow arrivals and departures from a
 // WorkloadSpec — session arrivals (Poisson or deterministic), per-class
 // flow sizes and CCAs, and application pacing models that gate the sender
-// through TcpSender::enable_app_gate / app_release. Built exactly like the
-// churn driver (DESIGN.md §12): arrivals are events on this handler, flows
-// live in FlowTable slabs, departures go through a grace-period reaper
-// that parks the slab for the next arrival, so steady state touches the
-// heap only through amortized vector growth.
+// through TcpSender::enable_app_gate / app_release. Flow churn is its
+// simplest case: one bulk class of bounded-Pareto sizes. Allocation-free
+// (DESIGN.md §12): arrivals are events on this handler, flows live in
+// FlowTable slabs, departures go through a grace-period reaper that parks
+// the slab for the next arrival, so steady state touches the heap only
+// through amortized vector growth.
 //
 // Determinism: the engine owns a dedicated Rng seeded with
 // derive_workload_seed(cell_seed), so it never draws from the master
 // stream — every pre-workload golden keeps its bytes — and it runs on the
-// core simulator under --shards > 1, so serial and sharded runs are
-// byte-identical (the relay never claims dynamic flow ids).
+// core simulator under --shards > 1, so its arrival schedule does not
+// depend on the shard count (the relay never claims dynamic flow ids).
 #pragma once
 
 #include <cstdint>
@@ -28,8 +29,8 @@ namespace ccas {
 
 // Grace before a completed workload flow's slab may be recycled: an upper
 // bound on the lifetime of anything still referencing the endpoints from
-// inside the network (same argument as the churn reaper). `max_rtt` must
-// cover every workload class and every background flow group.
+// inside the network. `max_rtt` must cover every workload class and
+// every background flow group.
 [[nodiscard]] TimeDelta workload_reap_grace(const DumbbellConfig& net,
                                             TimeDelta max_rtt);
 

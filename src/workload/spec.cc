@@ -66,7 +66,7 @@ void SizeDist::validate() const {
 uint64_t SizeDist::sample(Rng& rng) const {
   switch (kind) {
     case SizeDistKind::kPareto: {
-      // Bounded-Pareto inverse CDF, exactly the churn extension's form.
+      // Bounded-Pareto inverse CDF.
       const double a = pareto_alpha;
       const auto lo = static_cast<double>(min_segments);
       const auto hi = static_cast<double>(max_segments);

@@ -119,7 +119,7 @@ TEST(golden, GridMatchesCheckedInDigests) {
 // result bytes (throughput, fairness, drops, sim_events, traces) between
 // the serial and sharded engines fails here against the same goldens the
 // serial run is pinned to. CCAS_GOLDEN_SHARDS restricts the shard list
-// (e.g. "4" in the TSan CI job, where 3x grid re-runs would be too slow).
+// (e.g. "2,4" in the TSan CI job, where 3x grid re-runs would be too slow).
 TEST(golden, ShardedGridMatchesCheckedInDigests) {
   const std::vector<GoldenRecord> expected = load_goldens(CCAS_GOLDENS_FILE);
   ASSERT_FALSE(expected.empty());
