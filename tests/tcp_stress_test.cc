@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <tuple>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "src/cca/cca.h"
 #include "src/net/delay_line.h"
@@ -49,12 +51,32 @@ class Hook : public PacketSink {
   PacketSink* target_ = nullptr;
 };
 
-class RandomLossStress
-    : public ::testing::TestWithParam<std::tuple<const char*, int>> {};
+// One stress case: a CCA and an i.i.d. loss rate in permille. The CCA name
+// is a std::string, not a const char*: gtest prints a pointer parameter as
+// its address, which would put an ASLR-dependent value into the test names
+// that ctest discovers.
+struct LossCase {
+  std::string cca;
+  int permille;
+};
+
+void PrintTo(const LossCase& c, std::ostream* os) {
+  *os << c.cca << ',' << c.permille << "permille";
+}
+
+std::vector<LossCase> loss_cases() {
+  std::vector<LossCase> cases;
+  for (const char* cca : {"newreno", "cubic", "bbr", "bbr2", "vegas"}) {
+    for (const int permille : {1, 10, 50, 200}) cases.push_back({cca, permille});
+  }
+  return cases;
+}
+
+class RandomLossStress : public ::testing::TestWithParam<LossCase> {};
 
 TEST_P(RandomLossStress, SurvivesAndRecovers) {
-  const char* cca_name = std::get<0>(GetParam());
-  const double loss = std::get<1>(GetParam()) / 1000.0;
+  const std::string& cca_name = GetParam().cca;
+  const double loss = GetParam().permille / 1000.0;
 
   Simulator sim;
   Hook to_sender;
@@ -92,13 +114,9 @@ TEST_P(RandomLossStress, SurvivesAndRecovers) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    CcasAndLossRates, RandomLossStress,
-    ::testing::Combine(::testing::Values("newreno", "cubic", "bbr", "bbr2",
-                                         "vegas"),
-                       ::testing::Values(1, 10, 50, 200)),
-    [](const ::testing::TestParamInfo<RandomLossStress::ParamType>& info) {
-      return std::string(std::get<0>(info.param)) + "_loss" +
-             std::to_string(std::get<1>(info.param)) + "permille";
+    CcasAndLossRates, RandomLossStress, ::testing::ValuesIn(loss_cases()),
+    [](const ::testing::TestParamInfo<LossCase>& info) {
+      return info.param.cca + "_loss" + std::to_string(info.param.permille) + "permille";
     });
 
 }  // namespace
