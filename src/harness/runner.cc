@@ -359,16 +359,19 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, const SimBudget* bud
   // Cooperative budget: installed only when the caller set any limit, so
   // unbudgeted runs keep the exact historical dispatch path. The local
   // copy augments the RSS estimate with the harness's own unbounded
-  // buffers (drop log, congestion log) plus a per-flow state constant;
-  // it must outlive every run below, hence function scope.
+  // buffers (drop log, congestion log), the packets held in the netem
+  // lanes and a per-flow state constant; it must outlive every run below,
+  // hence function scope.
   SimBudget budget_local;
   if (budget != nullptr && budget->any()) {
     budget_local = *budget;
     auto caller_extra = budget->extra_rss_bytes;
-    budget_local.extra_rss_bytes = [&flows, &queue, &congestion_log,
+    budget_local.extra_rss_bytes = [&flows, &queue, &topo, &congestion_log,
                                     caller_extra]() {
       // ~4 KB per flow: sender + receiver + scoreboard runs + timers.
       int64_t est = static_cast<int64_t>(flows.size()) * 4096;
+      // Packets in the netems' lanes hold no pending event of their own.
+      est += topo.netem_held_bytes();
       est += static_cast<int64_t>(queue.drop_log().size()) *
              static_cast<int64_t>(sizeof(DropRecord));
       for (const std::vector<Time>& log : congestion_log) {

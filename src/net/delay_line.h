@@ -12,6 +12,7 @@
 
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
+#include "src/util/lane_pool.h"
 #include "src/util/ring_buffer.h"
 #include "src/util/rng.h"
 
@@ -48,12 +49,27 @@ struct NetemRelay {
   virtual bool offload(uint32_t flow_id, Time deliver_at, Packet&& pkt) = 0;
 };
 
+// Holds each in-flight packet in a FIFO lane whose release times are
+// non-decreasing in accept order, and keeps one pending event per
+// non-empty lane (for its head) instead of one per packet. Without jitter
+// there is one lane per distinct delay (release = now + delay); with
+// jitter, one lane per flow (the per-flow clamp below keeps a flow's
+// releases monotone). Each packet reserves its event's order key when it
+// is accepted — exactly the key schedule_at would have stamped then — and
+// its event is pushed under that key when it reaches the head of its
+// lane. A head's dispatch pushes the next head before anything that sorts
+// after the head can run, so every packet dispatches at the same (time,
+// key) as a per-packet event would: dispatch order, event counts and tags
+// are unchanged.
 class NetemDelay final : public PacketSink, public EventHandler {
  public:
   NetemDelay(Simulator& sim, PacketSink* dest);
 
-  // Sets the one-way delay applied to packets of `flow_id`. Must be set
-  // before the flow's first packet arrives.
+  // Sets the one-way delay applied to packets of `flow_id` accepted from
+  // now on; packets already in flight keep their release times. Without
+  // jitter a delay change may let the flow's later packets overtake its
+  // earlier ones, as with tc-netem; with jitter the per-flow clamp keeps
+  // the flow in order.
   void set_flow_delay(uint32_t flow_id, TimeDelta delay);
   [[nodiscard]] TimeDelta flow_delay(uint32_t flow_id) const;
 
@@ -72,40 +88,62 @@ class NetemDelay final : public PacketSink, public EventHandler {
   // RNG stream is identical with or without a relay installed.
   void set_relay(NetemRelay* relay) { relay_ = relay; }
 
-  // Capacity hints (no observable effect): size the per-flow lane table
-  // for `flows` flows, and the in-flight slot pool for `packets` packets,
-  // so steady-state operation never grows either (the harness calls these
+  // Capacity hints (no observable effect): size the per-flow table for
+  // `flows` flows, and the lane storage for `packets` packets in flight,
+  // so steady-state operation rarely grows either (the harness calls these
   // up front; the zero-allocation gate in tools/ccas_perf watches the
   // result).
-  void reserve_flows(uint32_t flows) { lanes_.reserve(flows); }
-  void reserve_in_flight(size_t packets) {
-    slots_.reserve(packets);
-    free_slots_.reserve(packets);
-  }
+  void reserve_flows(uint32_t flows) { flows_.reserve(flows); }
+  void reserve_in_flight(size_t packets) { pool_.reserve(packets); }
 
   [[nodiscard]] size_t in_transit() const { return in_transit_; }
   [[nodiscard]] int64_t in_transit_bytes() const { return in_transit_bytes_; }
 
+  // Lane storage per packet in flight, for memory estimates. Each held
+  // packet stands in for a pending event, so this must not be below
+  // SimBudget::kPendingEventRssBytes (see runner.cc's RSS estimate).
+  [[nodiscard]] static constexpr int64_t held_packet_bytes() { return sizeof(Held); }
+
  private:
-  // Per-flow state, one cache-adjacent record per flow: the configured
-  // delay and the jitter ordering clamp live on the same line, so the hot
-  // path takes one indexed load where two parallel vectors took two.
-  struct FlowLane {
+  // One packet in flight: it, its release time, and its reserved key.
+  struct Held {
+    Time release;
+    EventKey key;
+    Packet pkt;
+  };
+  using Lanes = LanePool<Held>;
+  // Event args name a lane: a delay-lane index, or kFlowLane | flow id.
+  static constexpr uint64_t kFlowLane = uint64_t{1} << 32;
+
+  // Per-flow state, one record per flow: the configured delay, its delay
+  // lane, the jitter ordering clamp and the flow's jitter lane.
+  struct FlowState {
     TimeDelta delay = TimeDelta::zero();
     Time last_release = Time::zero();
+    uint32_t delay_lane = 0;  // delay_lanes_[0] is the zero delay
+    Lanes::Lane jitter_lane;
   };
+  struct DelayLane {
+    TimeDelta delay;
+    Lanes::Lane fifo;
+  };
+
+  [[nodiscard]] Lanes::Lane& lane(uint64_t id) {
+    return (id & kFlowLane) != 0 ? flows_[static_cast<uint32_t>(id)].jitter_lane
+                                 : delay_lanes_[id].fifo;
+  }
 
   Simulator& sim_;
   PacketSink* dest_;
   NetemRelay* relay_ = nullptr;
-  std::vector<FlowLane> lanes_;
+  std::vector<FlowState> flows_;
+  // One per distinct delay ever set, in first-use order (a handful in
+  // practice: one per RTT group). Append-only: flows and pending events
+  // refer to lanes by index.
+  std::vector<DelayLane> delay_lanes_;
   TimeDelta jitter_ = TimeDelta::zero();
   std::unique_ptr<Rng> jitter_rng_;
-  // Packets in flight live in a slot pool; the scheduled event carries the
-  // slot index (flows with different delays can overtake each other, so a
-  // FIFO would deliver out of order).
-  std::vector<Packet> slots_;
-  std::vector<uint32_t> free_slots_;
+  Lanes pool_;
   size_t in_transit_ = 0;
   int64_t in_transit_bytes_ = 0;
 };

@@ -95,6 +95,14 @@ class DumbbellTopology {
   // cross-domain relays (delay_line.h NetemRelay).
   [[nodiscard]] NetemDelay& forward_netem() { return *forward_netem_; }
   [[nodiscard]] NetemDelay& reverse_netem() { return *reverse_netem_; }
+  // Lane storage held by both netems' packets in flight. Each such packet
+  // used to hold a pending event, so RSS estimates built on
+  // Simulator::pending_events() add this to stay as strict as before.
+  [[nodiscard]] int64_t netem_held_bytes() const {
+    return static_cast<int64_t>(forward_netem_->in_transit() +
+                                reverse_netem_->in_transit()) *
+           NetemDelay::held_packet_bytes();
+  }
   [[nodiscard]] const DumbbellConfig& config() const { return config_; }
   [[nodiscard]] int pair_of_flow(uint32_t flow_id) const {
     return static_cast<int>(flow_id) % config_.num_pairs;

@@ -34,6 +34,18 @@ struct CausalKey {
   uint32_t ctr = 0;
 };
 
+// An event's whole order key, taken before the event exists
+// (Simulator::reserve_key) and handed to Simulator::schedule_reserved
+// later: the queue's FIFO sequence number plus, under causal keys, the
+// causal key. An event pushed with a reserved key dispatches exactly where
+// a push at reservation time would have, provided it is pushed before any
+// event ordered after it is dispatched. NetemDelay's lanes rely on this to
+// hold one pending event per lane instead of one per packet.
+struct EventKey {
+  uint64_t seq = 0;
+  CausalKey causal;
+};
+
 struct Event {
   Time at;
   // Monotonic sequence number: ties in `at` are broken FIFO so simulations

@@ -15,14 +15,19 @@ EventQueue::EventQueue(SimProfile* profile) : profile_(profile) {
 }
 
 void EventQueue::push(Time at, EventHandler* handler, uint32_t tag, uint64_t arg) {
-  place(Event{at, next_seq_++, Time::zero(), handler, arg, 0, tag});
-  ++size_;
+  push_reserved(at, EventKey{next_seq_++, CausalKey{}}, handler, tag, arg);
 }
 
 void EventQueue::push_keyed(Time at, CausalKey key, EventHandler* handler,
                             uint32_t tag, uint64_t arg) {
-  place(Event{at, next_seq_++, key.armed_at, handler, arg, key.ctr, tag});
+  push_reserved(at, EventKey{next_seq_++, key}, handler, tag, arg);
+}
+
+void EventQueue::push_reserved(Time at, const EventKey& key, EventHandler* handler,
+                               uint32_t tag, uint64_t arg) {
+  place(Event{at, key.seq, key.causal.armed_at, handler, arg, key.causal.ctr, tag});
   ++size_;
+  if (profile_ && size_ > profile_->pending_max) profile_->pending_max = size_;
 }
 
 void EventQueue::place(Event&& e) {
@@ -42,11 +47,15 @@ void EventQueue::place(Event&& e) {
       const size_t idx = (t >> slot_shift) & kSlotMask;
       std::vector<Event>& v = slots_[level][idx];
       // First touch of a cold slot reserves the level's high-water
-      // occupancy up front. The level-2 ring advances without wrapping
-      // within a run (one slot spans ~268 ms, the ring ~68 s), so without
-      // this every slot ahead of the cursor re-pays the full doubling
-      // chain of heap allocations as RTO entries accumulate in it.
-      if (v.capacity() == 0 && warm_[level] != 0) v.reserve(warm_[level]);
+      // occupancy up front, and at least kMinSlotEvents. The level-2 ring
+      // advances without wrapping within a run (one slot spans ~268 ms,
+      // the ring ~68 s), so without this every slot ahead of the cursor
+      // re-pays the full doubling chain of heap allocations as RTO
+      // entries accumulate in it. The floor matters for the finer levels:
+      // slot buffers circulate between slots, due_ and scratch_, and
+      // lightly loaded rings (one event per netem lane, not per packet)
+      // otherwise keep regrowing small buffers as load ramps up.
+      if (v.capacity() == 0) v.reserve(std::max(warm_[level], kMinSlotEvents));
       v.push_back(e);
       occ_[level][idx >> 6] |= uint64_t{1} << (idx & 63);
       if (profile_) ++profile_->pushes_wheel;

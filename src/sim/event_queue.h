@@ -17,9 +17,11 @@
 // scans instead of a 256-slot walk.
 //
 // Ordering is identical to the old binary heap: every event carries a
-// monotone sequence number, and each tier orders by (time, seq), so
-// dispatch order — including same-timestamp FIFO ties — is bit-exact with
-// the golden traces recorded on the heap implementation.
+// sequence number from one monotone counter, and each tier orders by
+// (time, seq), so dispatch order — including same-timestamp FIFO ties — is
+// bit-exact with the golden traces recorded on the heap implementation.
+// A number is normally taken at push; reserve_seq() takes it earlier, and
+// the event then sorts as if it had been pushed at reservation time.
 #pragma once
 
 #include <array>
@@ -41,6 +43,11 @@ class EventQueue {
   // Sharded-mode push carrying a causal ordering key (see event.h).
   void push_keyed(Time at, CausalKey key, EventHandler* handler, uint32_t tag,
                   uint64_t arg);
+  // Takes the next FIFO sequence number without pushing anything;
+  // push_reserved files an event under it later (EventKey in event.h).
+  [[nodiscard]] uint64_t reserve_seq() { return next_seq_++; }
+  void push_reserved(Time at, const EventKey& key, EventHandler* handler,
+                     uint32_t tag, uint64_t arg);
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] size_t size() const { return size_; }
@@ -72,6 +79,8 @@ class EventQueue {
   static constexpr int kShift0 = 12;  // level-0 slot width: 2^12 ns
   static constexpr int kTopPageShift = kShift0 + kLevels * kSlotBits;  // 36
   static constexpr size_t kNoSlot = static_cast<size_t>(-1);
+  // Smallest buffer a wheel slot gets on first touch (1.5 KB).
+  static constexpr size_t kMinSlotEvents = 32;
 
   // Files an event into due_/wheel/overflow relative to the cursor.
   void place(Event&& e);

@@ -290,6 +290,9 @@ SimProfile ShardFabric::aggregate_profile() const {
     agg.pushes_overflow += p.pushes_overflow;
     agg.wheel_cascades += p.wheel_cascades;
     agg.overflow_drains += p.overflow_drains;
+    agg.pending_max = std::max(agg.pending_max, p.pending_max);
+    agg.pending_samples += p.pending_samples;
+    agg.pending_sample_sum += p.pending_sample_sum;
     agg.timer_stale_wakeups += p.timer_stale_wakeups;
     agg.timer_chase_wakeups += p.timer_chase_wakeups;
     agg.timer_coalesced_rearms += p.timer_coalesced_rearms;

@@ -41,6 +41,9 @@ std::string SimProfile::summary() const {
           static_cast<unsigned long long>(pushes_overflow),
           static_cast<unsigned long long>(wheel_cascades),
           static_cast<unsigned long long>(overflow_drains));
+  appendf(out, "  pending set: max=%llu mean=%.0f (%llu samples)\n",
+          static_cast<unsigned long long>(pending_max), pending_mean(),
+          static_cast<unsigned long long>(pending_samples));
   appendf(out, "  heap: %llu allocations in-loop (%.6f per event)\n",
           static_cast<unsigned long long>(heap_allocs), allocs_per_event());
   appendf(out,

@@ -30,6 +30,16 @@ struct SimProfile {
   uint64_t wheel_cascades = 0;   // coarse slots re-filed into finer levels
   uint64_t overflow_drains = 0;  // overflow pages pulled back into the wheels
 
+  // Pending-set gauge: the largest EventQueue::size() reached, and the
+  // size sampled after every kPendingSampleEvery-th dispatch (mean =
+  // pending_sample_sum / pending_samples). Observational only — never
+  // serialized. On a sharded aggregate these describe one engine's queue:
+  // the max over engines and the mean pooled over every engine's samples.
+  static constexpr uint64_t kPendingSampleEvery = 1024;
+  uint64_t pending_max = 0;
+  uint64_t pending_samples = 0;
+  uint64_t pending_sample_sum = 0;
+
   // Timer wakeup accounting (the lazy re-arm cost, satellite of the
   // scheduler rework): stale = superseded generation, chase = entry fired
   // before a later re-armed deadline, coalesced = earlier re-arms absorbed
@@ -81,6 +91,11 @@ struct SimProfile {
   }
   [[nodiscard]] double wall_sec_per_sim_sec() const {
     return sim_seconds > 0.0 ? wall_seconds / sim_seconds : 0.0;
+  }
+  [[nodiscard]] double pending_mean() const {
+    return pending_samples > 0 ? static_cast<double>(pending_sample_sum) /
+                                     static_cast<double>(pending_samples)
+                               : 0.0;
   }
   [[nodiscard]] double allocs_per_event() const {
     return events_dispatched > 0

@@ -24,6 +24,13 @@ void Simulator::schedule_at_keyed(Time at, CausalKey key, EventHandler* handler,
   queue_.push_keyed(at, key, handler, tag, arg);
 }
 
+void Simulator::schedule_reserved(Time at, const EventKey& key,
+                                  EventHandler* handler, uint32_t tag,
+                                  uint64_t arg) {
+  if (at < now_) throw std::invalid_argument("schedule_reserved: event in the past");
+  queue_.push_reserved(at, key, handler, tag, arg);
+}
+
 CausalKey Simulator::allocate_push_key() {
   if (now_ != last_push_ns_) {
     last_push_ns_ = now_;
@@ -71,6 +78,10 @@ void Simulator::dispatch(const Event& e) {
     cur_ctr_ = e.ctr;
   }
   ++events_processed_;
+  if ((events_processed_ & (SimProfile::kPendingSampleEvery - 1)) == 0) {
+    ++profile_.pending_samples;
+    profile_.pending_sample_sum += queue_.size();
+  }
   ++profile_.events_dispatched;
   ++profile_.events_by_tag[e.tag < SimProfile::kMaxTag ? e.tag
                                                        : SimProfile::kMaxTag];

@@ -46,6 +46,17 @@ class Simulator {
   // carry the key allocated on the engine where the serial push happened).
   void schedule_at_keyed(Time at, CausalKey key, EventHandler* handler,
                          uint32_t tag, uint64_t arg = 0);
+  // Deferred scheduling: reserve_key() takes the order key a schedule_at
+  // call made now would get (the FIFO sequence number, plus the causal
+  // key when enabled) without pushing; schedule_reserved() pushes under
+  // it later. The event then dispatches exactly where the immediate push
+  // would have, as long as it is pushed before any event that sorts after
+  // it dispatches — e.g. by a handler whose own event sorts before it.
+  [[nodiscard]] EventKey reserve_key() {
+    return EventKey{queue_.reserve_seq(), causal_ ? allocate_push_key() : CausalKey{}};
+  }
+  void schedule_reserved(Time at, const EventKey& key, EventHandler* handler,
+                         uint32_t tag, uint64_t arg = 0);
 
   // --- Causal ordering (sharded runs; see event.h and parallel/fabric.h).
   //

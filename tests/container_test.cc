@@ -1,15 +1,19 @@
 // Tests for the hot-path containers: RunList (run-length interval set
 // behind the SACK scoreboard and the receiver's reassembly tracker) and
 // RingBuffer (the deque replacement on the packet FIFOs and the scoreboard
-// window). RunList is additionally property-checked against std::set.
+// window), and LanePool (NetemDelay's lanes). RunList is additionally
+// property-checked against std::set, LanePool against std::deque.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <random>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "src/util/lane_pool.h"
 #include "src/util/ring_buffer.h"
+#include "src/util/rng.h"
 #include "src/util/run_list.h"
 
 namespace ccas {
@@ -173,6 +177,38 @@ TEST(RunListProperty, MatchesSetSemantics) {
       }
     }
   }
+}
+
+TEST(LanePool, LanesAreIndependentFifos) {
+  LanePool<int, 4> pool;
+  std::vector<LanePool<int, 4>::Lane> lanes(3);
+  std::vector<std::deque<int>> ref(3);
+  Rng rng(17);
+  for (int i = 0; i < 5000; ++i) {
+    const size_t l = rng.next_below(3);
+    if (ref[l].empty() || rng.next_below(100) < 55) {
+      pool.push_back(lanes[l], int{i});
+      ref[l].push_back(i);
+    } else {
+      ASSERT_EQ(pool.front(lanes[l]), ref[l].front());
+      ASSERT_EQ(pool.pop_front(lanes[l]), ref[l].front());
+      ref[l].pop_front();
+    }
+    ASSERT_EQ(lanes[l].empty(), ref[l].empty());
+  }
+}
+
+TEST(LanePool, DrainedChunksAreRecycled) {
+  LanePool<int, 4> pool;
+  LanePool<int, 4>::Lane a;
+  LanePool<int, 4>::Lane b;
+  for (int round = 0; round < 100; ++round) {
+    for (int i = 0; i < 10; ++i) pool.push_back(round % 2 == 0 ? a : b, int{i});
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(pool.pop_front(round % 2 == 0 ? a : b), i);
+  }
+  EXPECT_TRUE(a.empty());
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(pool.chunks(), 3u);  // ceil(10 / 4): the high-water mark
 }
 
 TEST(RingBuffer, PushPopFifoAcrossGrowth) {

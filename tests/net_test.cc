@@ -323,6 +323,46 @@ TEST(DumbbellTopology, RoundTripMatchesBaseRttPlusSerialization) {
                      cfg.bottleneck_rate.transfer_time(kDataPacketBytes));
 }
 
+TEST(DumbbellTopology, NetemHeldBytesKeepTheRssEstimateAtThePerEventFigure) {
+  // A loaded CoreScale state: 3000 flows at 20/40/80 ms, 18000 data
+  // packets through the 10 Gbps bottleneck and 18000 ACKs on the return
+  // path, stopped before the shortest forward delay releases anything.
+  // Netem lanes hold one pending event per lane, not per packet, so the
+  // budget's pending_events() x kPendingEventRssBytes shrinks; adding
+  // netem_held_bytes() must give back at least the per-event figure
+  // (every held packet counted as a pending event, as before the lanes).
+  for (const TimeDelta jitter : {TimeDelta::zero(), TimeDelta::micros(500)}) {
+    Simulator sim;
+    DumbbellConfig cfg;
+    cfg.bottleneck_rate = DataRate::gbps(10);
+    cfg.buffer_bytes = 375LL * 1000 * 1000;
+    cfg.jitter = jitter;
+    DumbbellTopology topo(sim, cfg);
+    CollectorSink sender_ep(sim);
+    CollectorSink receiver_ep(sim);
+    constexpr uint32_t kFlows = 3000;
+    topo.reserve_flows(kFlows);
+    for (uint32_t f = 0; f < kFlows; ++f) {
+      topo.register_flow(f, TimeDelta::millis(20 << (f % 3)), &sender_ep, &receiver_ep);
+    }
+    for (uint64_t i = 0; i < 6; ++i) {
+      for (uint32_t f = 0; f < kFlows; ++f) {
+        topo.data_entry(f).accept(data_packet(f, i));
+        topo.ack_entry().accept(Packet::make_ack(f, DumbbellTopology::kToSenders, i));
+      }
+    }
+    sim.run_until(Time::zero() + TimeDelta::millis(9));
+    const int64_t held = static_cast<int64_t>(topo.forward_netem().in_transit() +
+                                              topo.reverse_netem().in_transit());
+    ASSERT_GT(held, 20000);
+    const auto pending = static_cast<int64_t>(sim.pending_events());
+    EXPECT_LT(pending, held / 4);
+    const int64_t per_event_figure = (pending + held) * SimBudget::kPendingEventRssBytes;
+    EXPECT_GE(pending * SimBudget::kPendingEventRssBytes + topo.netem_held_bytes(),
+              per_event_figure);
+  }
+}
+
 TEST(DumbbellTopology, AssignsFlowsToPairsRoundRobin) {
   Simulator sim;
   DumbbellConfig cfg;

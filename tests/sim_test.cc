@@ -67,6 +67,45 @@ TEST(EventQueue, TopOnEmptyThrows) {
   EXPECT_THROW((void)q.top(), std::logic_error);
 }
 
+TEST(EventQueue, ReservedKeyDispatchesBeforeLaterSameNsPushes) {
+  EventQueue q;
+  RecordingHandler h;
+  const uint64_t early = q.reserve_seq();
+  q.push(Time::nanos(5), &h, 1, 0);
+  q.push(Time::nanos(5), &h, 2, 0);
+  const uint64_t late = q.reserve_seq();
+  q.push(Time::nanos(5), &h, 3, 0);
+  // Pushed last, filed under the keys reserved before and between the
+  // plain pushes.
+  q.push_reserved(Time::nanos(5), EventKey{late, {}}, &h, 10, 0);
+  q.push_reserved(Time::nanos(5), EventKey{early, {}}, &h, 0, 0);
+  EXPECT_EQ(q.pop().tag, 0u);
+  EXPECT_EQ(q.pop().tag, 1u);
+  EXPECT_EQ(q.pop().tag, 2u);
+  EXPECT_EQ(q.pop().tag, 10u);
+  EXPECT_EQ(q.pop().tag, 3u);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(Simulator, ReservedKeyKeepsItsPlaceUnderCausalKeys) {
+  // A handler at t=1 reserves a key, lets two same-ns events be scheduled
+  // after it, then pushes under the reserved key: it still runs first,
+  // with or without causal keys.
+  for (const bool causal : {false, true}) {
+    Simulator sim;
+    if (causal) sim.enable_causal_keys();
+    RecordingHandler h;
+    sim.schedule_fn_at(Time::nanos(1), [&] {
+      const EventKey key = sim.reserve_key();
+      sim.schedule_at(Time::nanos(7), &h, 1, 0);
+      sim.schedule_at(Time::nanos(7), &h, 2, 0);
+      sim.schedule_reserved(Time::nanos(7), key, &h, 0, 0);
+    });
+    sim.run();
+    EXPECT_EQ(h.tags, (std::vector<uint32_t>{0, 1, 2})) << "causal=" << causal;
+  }
+}
+
 TEST(EventQueue, ClearResets) {
   EventQueue q;
   RecordingHandler h;
@@ -240,6 +279,19 @@ TEST(Profiler, CountsDispatchesByTag) {
   EXPECT_DOUBLE_EQ(p.sim_seconds, 0.004);
   EXPECT_GT(p.events_per_wall_sec(), 0.0);
   EXPECT_FALSE(p.summary().empty());
+}
+
+TEST(Profiler, GaugesThePendingSet) {
+  Simulator sim;
+  RecordingHandler h;
+  for (int64_t i = 1; i <= 5000; ++i) sim.schedule_at(Time::nanos(i * 10), &h, 0, 0);
+  sim.run();
+  const SimProfile& p = sim.profile();
+  EXPECT_EQ(p.pending_max, 5000u);
+  // Sampled after dispatches 1024, 2048, 3072 and 4096.
+  ASSERT_EQ(p.pending_samples, 4u);
+  EXPECT_DOUBLE_EQ(p.pending_mean(), (3976.0 + 2952.0 + 1928.0 + 904.0) / 4.0);
+  EXPECT_NE(p.summary().find("pending set: max=5000 mean=2440"), std::string::npos);
 }
 
 TEST(Profiler, CountsSchedulerTierPlacement) {

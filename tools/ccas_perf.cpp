@@ -147,6 +147,9 @@ struct CellResult {
   // allocation is a hot-path regression the events/sec number might absorb
   // on a fast machine — the --alloc-gate catches it directly.
   double allocs_per_event = 0.0;
+  // Largest pending-event set of the run (SimProfile::pending_max): what
+  // the timing wheel actually holds, observational and ungated.
+  uint64_t pending_max = 0;
 };
 
 // events/sec at the smallest flow count divided by events/sec at the
@@ -186,10 +189,11 @@ std::string to_json(const std::vector<CellResult>& results) {
                   "    {\"name\": \"%s\", \"flows\": %d, \"shards\": %d, "
                   "\"sim_events\": %llu, "
                   "\"wall_sec\": %.6f, \"sim_sec\": %.3f, \"events_per_sec\": %.0f, "
-                  "\"allocs_per_event\": %.6f}",
+                  "\"allocs_per_event\": %.6f, \"pending_max\": %llu}",
                   r.name.c_str(), r.flows, r.shards,
                   static_cast<unsigned long long>(r.sim_events), r.wall_sec,
-                  r.sim_sec, r.events_per_sec, r.allocs_per_event);
+                  r.sim_sec, r.events_per_sec, r.allocs_per_event,
+                  static_cast<unsigned long long>(r.pending_max));
     out << line << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -296,16 +300,18 @@ int main(int argc, char** argv) {
         r.wall_sec = res.sim_profile.wall_seconds;
         r.sim_sec = res.sim_profile.sim_seconds;
         r.events_per_sec = res.sim_profile.events_per_wall_sec();
+        r.pending_max = res.sim_profile.pending_max;
         if (res.measure_sim_events > 0) {
           r.allocs_per_event = static_cast<double>(res.measure_heap_allocs) /
                                static_cast<double>(res.measure_sim_events);
         }
         if (rep == 0 || r.events_per_sec > best.events_per_sec) best = r;
       }
-      std::printf("%-13s %6d flows  sh%-2d  %12llu events  %8.3fs wall  %11.0f events/sec  %.6f allocs/event\n",
+      std::printf("%-13s %6d flows  sh%-2d  %12llu events  %8.3fs wall  %11.0f events/sec  %.6f allocs/event  %8llu pending max\n",
                   best.name.c_str(), best.flows, best.shards,
                   static_cast<unsigned long long>(best.sim_events), best.wall_sec,
-                  best.events_per_sec, best.allocs_per_event);
+                  best.events_per_sec, best.allocs_per_event,
+                  static_cast<unsigned long long>(best.pending_max));
       if (alloc_gate >= 0.0 && best.allocs_per_event > alloc_gate) {
         std::fprintf(stderr,
                      "ALLOC REGRESSION: %s at %.6f heap allocs/event exceeds "
