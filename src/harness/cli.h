@@ -1,60 +1,18 @@
-// Command-line experiment description, used by tools/ccas_run: parses
-// "--key=value" flags into an ExperimentSpec so any of the paper's
-// configurations (and new ones) can be run without writing C++.
+// Command-line experiment description, used by tools/ccas_run and
+// tools/ccas_fleet: parses "--key=value" flags into an ExperimentSpec so any
+// of the paper's configurations (and new ones) can be run without writing
+// C++, and renders a spec back into those flags for .repro replay files.
 //
 //   ccas_run --setting=core --groups=bbr:1:20,newreno:1000:20
 //            --warmup=10 --measure=30 --seed=7 --trace=0.5 --csv=out
 //
-// Flags:
-//   --setting=edge|core        scenario preset            (default core)
-//   --rate=<mbps>              override bottleneck rate
-//   --buffer=<bytes>           override buffer size
-//   --groups=cca:count:rtt_ms[,...]   flow groups (required unless an
-//                              open-loop --workload is given)
-//   --workload=poisson:<per_sec>|fixed:<per_sec>   open-loop arrivals
-//   --workload-class=<name>:<weight>:<cca>:<rtt_ms>:<size>:<app>
-//                              repeatable; size = pareto/<alpha>/<min>/<max>,
-//                              lognormal/<mu>/<sigma>/<min>/<max>,
-//                              fixed/<segments>, cdf/<path>; app = bulk,
-//                              rr/<burst>/<think_ms>, web/<burst>/<gap_ms>,
-//                              video/<chunk>/<interval_ms>
-//   --workload-max=<n>         admission cap on concurrent workload flows
-//   --stagger/--warmup/--measure=<sec>
-//   --seed=<n>
-//   --jitter=<microsec>        forward-path jitter
-//   --loss=<p>                 i.i.d. exogenous loss probability
-//   --ge-loss=<p_gb>:<p_bg>:<loss_bad>[:<loss_good>]  GE bursty loss
-//   --dup=<p>                  duplication probability
-//   --reorder=<p>:<max_ms>     delay-swap reordering
-//   --link-jitter=<microsec>[:uniform|normal]  impairment-stage jitter
-//   --flap=<down_s>:<up_s>[,...]       link down/up fault windows
-//   --rate-change=<sec>:<mbps>[,...]   scheduled rate faults
-//   --buffer-change=<sec>:<bytes>[,...] scheduled buffer faults
-//   --qdisc=drop-tail|codel|fq-codel|pie|red   bottleneck scheduler
-//   --ecn                      CE-mark instead of drop (AQM qdiscs only)
-//   --codel=<target_ms>:<interval_ms>   CoDel / FQ-CoDel control law
-//   --fq=<flows>:<quantum_bytes>        FQ-CoDel buckets and DRR quantum
-//   --pie=<target_ms>:<tupdate_ms>      PIE latency target and update period
-//   --red=<min_bytes>:<max_bytes>[:<max_p>]   RED thresholds
-//   --no-sack / --no-delack / --no-gro
-//   --rto-slack=<microsec>     coalesce RTO re-arms within this slack
-//   --perf                     print the kernel profiler summary per cell
-//   --trace=<sec>              time-series sample interval (0 = off)
-//   --csv=<prefix>             write trace CSVs with this prefix
-//   --seeds=<n,n,...>          run one cell per seed (parallel sweep)
-//   --jobs=<n>                 worker threads (default: hardware concurrency)
-//   --cache-dir=<path>         enable the on-disk result cache
-//   --no-cache                 bypass the cache even if a dir is set
-//
-// Supervision (see src/sweep/supervisor.h and tools/EXIT_CODES.md):
-//   --cell-timeout=<sec>       wall-clock watchdog per cell attempt
-//   --cell-events=<n>          simulated-event ceiling per cell attempt
-//   --cell-rss=<mb>            estimated-peak-RSS ceiling per cell attempt
-//   --retries=<n>              retries for transient failures (default 2)
-//   --max-failures=<n>         abort the sweep after n terminal failures
-//   --resume=<dir>             resumable manifest dir; journaled-ok cells skip
-//   --quarantine=<dir>         where failed cells write .repro replay files
-//   --fail-fast                abort on the first failure (legacy contract)
+// Each flag is declared once, as a row of one of the two flag tables in
+// cli.cc (grid flags and fleet flags): its name, value syntax, help text,
+// parser and (for spec fields) renderer. parse_cli, cli_usage,
+// parse_fleet_cli, fleet_cli_usage and spec_to_cli all read those tables;
+// `ccas_run --help` and `ccas_fleet --help` print them. A value that is
+// malformed, non-finite or out of range for its flag throws
+// std::invalid_argument (exit 1, tools/EXIT_CODES.md).
 #pragma once
 
 #include <cstdint>
@@ -85,17 +43,9 @@ struct CliOptions {
 
 // ---- ccas_fleet ----------------------------------------------------------
 //
-// Fleet-specific flags (DESIGN.md §14); everything not listed here is
-// handed to parse_cli and describes the grid, exactly as for ccas_run:
-//
-//   --fleet-dir=<dir>      the shared job store (required)
-//   --lease-ttl=<sec>      per-cell lease TTL (default 30)
-//   --heartbeat=<sec>      lease renewal interval (default TTL/3)
-//   --fleet-wait=<sec>     give up (exit 5) after this long without any
-//                          worker journaling progress; 0 = wait forever
-//   --worker-id=<id>       stable worker name (default w<pid>)
-//   --report-only          render the final report from the store without
-//                          joining as a worker (takes no grid flags)
+// Fleet-specific flags (DESIGN.md §14, `ccas_fleet --help`); every other
+// flag is handed to parse_cli and describes the grid, exactly as for
+// ccas_run.
 struct FleetCliOptions {
   std::string fleet_dir;
   uint64_t lease_ttl_ms = 30'000;
@@ -117,7 +67,7 @@ struct FleetCli {
 // --lease-ttl or --heartbeat (or one that rounds to zero ms), a heartbeat
 // not shorter than the TTL, a malformed --worker-id, grid flags combined
 // with --report-only, or grid flags that cannot describe a fleet job
-// (--trace, --csv, --resume, --quarantine, --fail-fast).
+// (those whose table row gives a fleet rejection reason).
 [[nodiscard]] FleetCli parse_fleet_cli(const std::vector<std::string>& args);
 
 // The ccas_fleet --help text.

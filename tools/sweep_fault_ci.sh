@@ -3,7 +3,8 @@
 # binary: exit-code taxonomy (tools/EXIT_CODES.md), failure isolation
 # (healthy cells byte-identical next to injected faults), quarantine
 # .repro replay, transient retry, resume-after-abort byte identity, and
-# manifest salt pinning. Run from the repo root:
+# manifest salt pinning, plus exit 1 for bad flag values. Run from the repo
+# root:
 #
 #   tools/sweep_fault_ci.sh [path/to/ccas_run] [path/to/ccas_fleet]
 #
@@ -272,6 +273,19 @@ run_case fleet-salt-mismatch 1 "$WORK/fleet_salt.out" \
   "$FLEET" "${BASE_FLAGS[@]}" --seeds=1 --fleet-dir="$WORK/fleet_stale"
 run_case fleet-grid-mismatch 1 "$WORK/fleet_grid.out" \
   "$FLEET" "${BASE_FLAGS[@]}" --seeds=1,2,4 --fleet-dir="$WORK/fleet_io"
+
+# --- 11. Bad flag values are usage errors (exit 1), never cell failures --
+# Each value is refused when the flags are parsed: a negative warmup used
+# to run (exit 0), a negative rate used to fail the cell (exit 2), and a
+# switch given a value used to be silently accepted.
+run_case bad-warmup 1 "$WORK/bad_warmup.out" \
+  "$RUN" "${BASE_FLAGS[@]}" --warmup=-1
+run_case bad-rate 1 "$WORK/bad_rate.out" \
+  "$RUN" "${BASE_FLAGS[@]}" --rate=-5
+run_case switch-with-value 1 "$WORK/switch_value.out" \
+  "$RUN" "${BASE_FLAGS[@]}" --no-cache=false
+run_case fleet-bad-lease-ttl 1 "$WORK/fleet_bad_ttl.out" \
+  "$FLEET" "${BASE_FLAGS[@]}" --fleet-dir="$WORK/fleet_bad" --lease-ttl=nan
 
 echo
 if [ "$FAILURES" -ne 0 ]; then
