@@ -1,71 +1,49 @@
 // Shared experiment grid for the Mathis-model suite (Table 1, Figure 2,
 // Figure 3, and the burstiness corroboration of Finding 3): all-NewReno
 // runs at 20 ms RTT across the paper's EdgeScale and CoreScale flow
-// counts. Spec building and result analysis are split so the cells can be
-// fanned out through the sweep executor and analyzed afterwards.
+// counts. The four rows register the same six cells, so ccas_figures
+// --figure=all simulates them once.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.h"
+#include "bench/figures.h"
 #include "src/stats/burstiness.h"
 #include "src/stats/mathis_fit.h"
 
 namespace ccas::bench {
 
 struct MathisCell {
-  Setting setting = Setting::kCoreScale;
-  int nominal_flows = 0;  // the paper's flow count
-  int actual_flows = 0;   // after REPRO_SCALE
   MathisFit fit_loss;     // p = packet loss rate
   MathisFit fit_halving;  // p = CWND halving rate
   // Mean per-flow ratio of packet-loss rate to CWND-halving rate (Fig 3).
   double loss_to_halving_ratio = 0.0;
   // Goh-Barabasi burstiness of the bottleneck drop process (Finding 3).
   double drop_burstiness = 0.0;
-  double utilization = 0.0;
-  double mean_rtt_ms = 0.0;
 };
 
-struct MathisCellSpec {
-  std::string name;  // stable cell key, e.g. "CoreScale/flows=3000"
-  Setting setting = Setting::kCoreScale;
-  int nominal_flows = 0;
-  int actual_flows = 0;
-  ExperimentSpec spec;
-};
-
-inline MathisCellSpec make_mathis_spec(Setting setting, int nominal_flows,
-                                       const BenchDurations& durations,
-                                       uint64_t seed = 42) {
-  MathisCellSpec cell;
-  cell.setting = setting;
-  cell.nominal_flows = nominal_flows;
+// Labels: setting, the paper's flow count, the flow count after REPRO_SCALE.
+inline FigureCell make_mathis_spec(Setting setting, int nominal_flows,
+                                   const BenchDurations& durations) {
+  FigureCell cell;
   double scale = 1.0;
   cell.spec.scenario = make_scenario(setting, durations, &scale);
-  cell.actual_flows = scaled_flow_count(nominal_flows, scale);
-  cell.spec.groups.push_back(
-      FlowGroup{"newreno", cell.actual_flows, TimeDelta::millis(20)});
-  cell.spec.seed = seed;
-  cell.name = std::string(setting == Setting::kEdgeScale ? "EdgeScale" : "CoreScale") +
-              "/flows=" + std::to_string(nominal_flows);
+  const int actual_flows = scaled_flow_count(nominal_flows, scale);
+  cell.spec.groups.push_back(FlowGroup{"newreno", actual_flows, TimeDelta::millis(20)});
+  cell.spec.seed = 42;
+  cell.name = cell.spec.scenario.name() + "/flows=" + std::to_string(nominal_flows);
+  cell.labels = {cell.spec.scenario.name(), std::to_string(nominal_flows),
+                 std::to_string(actual_flows)};
   return cell;
 }
 
-inline MathisCell analyze_mathis_cell(const MathisCellSpec& cell_spec,
-                                      const ExperimentResult& result) {
+inline MathisCell analyze_mathis_cell(const ExperimentResult& result) {
   MathisCell cell;
-  cell.setting = cell_spec.setting;
-  cell.nominal_flows = cell_spec.nominal_flows;
-  cell.actual_flows = cell_spec.actual_flows;
-  cell.utilization = result.utilization;
-
   std::vector<MathisObservation> obs_loss;
   std::vector<MathisObservation> obs_halving;
   double ratio_sum = 0.0;
   int ratio_n = 0;
-  double rtt_sum = 0.0;
   for (const FlowMeasurement& f : result.flows) {
     // The model is evaluated against the RTT the flow experienced
     // (tcpprobe-style srtt), exactly as the testbed measurements are.
@@ -76,47 +54,28 @@ inline MathisCell analyze_mathis_cell(const MathisCellSpec& cell_spec,
       ratio_sum += f.packet_loss_rate / f.cwnd_halving_rate;
       ++ratio_n;
     }
-    rtt_sum += f.mean_rtt.ms();
   }
   cell.fit_loss = fit_mathis_constant(obs_loss, kMssBytes);
   cell.fit_halving = fit_mathis_constant(obs_halving, kMssBytes);
   cell.loss_to_halving_ratio = ratio_n > 0 ? ratio_sum / ratio_n : 0.0;
-  cell.mean_rtt_ms = result.flows.empty()
-                         ? 0.0
-                         : rtt_sum / static_cast<double>(result.flows.size());
   if (result.drop_times.size() >= 3) {
     cell.drop_burstiness = goh_barabasi_burstiness_from_times(result.drop_times);
   }
   return cell;
 }
 
-inline const std::vector<int>& edge_flow_counts() {
-  static const std::vector<int> counts{10, 30, 50};
-  return counts;
-}
-inline const std::vector<int>& core_flow_counts() {
-  static const std::vector<int> counts{1000, 3000, 5000};
-  return counts;
-}
-
 // Durations: EdgeScale loss events are rare (one sawtooth is ~minutes of
 // simulated time at 100 Mbps), so edge cells run long — they are cheap.
 // CoreScale cells need the window to cover several sawtooth periods of the
 // *smallest* flow count (~45 s per period at 1000 flows / 20 ms).
-inline BenchDurations edge_durations() { return BenchDurations{2.0, 60.0, 240.0}; }
-inline BenchDurations core_durations() { return BenchDurations{2.0, 15.0, 90.0}; }
-
-// Registers the full Edge+Core grid on `bench` and returns the cell specs
-// in registration order (the common shape of the four Mathis benches).
-inline std::vector<MathisCellSpec> add_mathis_grid(SweepBench& bench) {
-  std::vector<MathisCellSpec> cells;
-  for (const int flows : edge_flow_counts()) {
-    cells.push_back(make_mathis_spec(Setting::kEdgeScale, flows, edge_durations()));
+inline Grid mathis_grid() {
+  Grid cells;
+  for (const int flows : {10, 30, 50}) {
+    cells.push_back(make_mathis_spec(Setting::kEdgeScale, flows, {2.0, 60.0, 240.0}));
   }
-  for (const int flows : core_flow_counts()) {
-    cells.push_back(make_mathis_spec(Setting::kCoreScale, flows, core_durations()));
+  for (const int flows : {1000, 3000, 5000}) {
+    cells.push_back(make_mathis_spec(Setting::kCoreScale, flows, {2.0, 15.0, 90.0}));
   }
-  for (const MathisCellSpec& c : cells) bench.add(c.name, c.spec);
   return cells;
 }
 

@@ -8,7 +8,7 @@
 // 1.25, 0.75, 1x6) with periodic PROBE_RTT excursions to 4 packets.
 //
 // The 4-packet PROBE_RTT / minimum cwnd floor is configurable because our
-// ablation (bench_ablation_bbr_mincwnd) studies its role in BBR's
+// ablation (ccas_figures --figure=ablation_bbr_mincwnd) studies its role in BBR's
 // intra-CCA unfairness at CoreScale (paper Finding 5).
 #pragma once
 

@@ -44,7 +44,7 @@ class TcpSender;
 namespace ccas::check {
 
 // True when the CCAS_CHECK environment variable is set to a non-empty,
-// non-"0" value (the runtime toggle; the benches and CI use it).
+// non-"0" value (the runtime toggle; the stress tests and CI use it).
 [[nodiscard]] bool check_enabled_from_env();
 
 // Thrown by run_experiment when the final audit finds violations. A

@@ -759,6 +759,21 @@ constexpr Flag<Fleet> kFleetFlags[] = {
      [](Fleet& o, Str, Str) { o.report_only = true; }},
 };
 
+using Figures = FiguresCliOptions;
+
+constexpr Flag<Figures> kFigureFlags[] = {
+    {"--figure", "<id>|all", "the figure to reproduce (required; ids below)",
+     [](Figures& o, Str, Str v) { o.figure = v; }},
+    {"--jobs", "<n>", "worker threads (default: hardware concurrency)",
+     [](Figures& o, Str k, Str v) { o.sweep.jobs = int_in(k, v, 1, INT_MAX); }},
+    {"--cache-dir", "<path>", "result cache directory (default .ccas-cache)",
+     [](Figures& o, Str, Str v) { o.sweep.cache_dir = v; }},
+    {"--no-cache", nullptr, "neither read nor write the cache",
+     [](Figures& o, Str, Str) { o.sweep.use_cache = false; }},
+    {"--no-progress", nullptr, "suppress the live stderr progress lines",
+     [](Figures& o, Str, Str) { o.sweep.progress = false; }},
+};
+
 std::string key_of(Str arg) { return arg.substr(0, arg.find('=')); }
 
 template <typename Opts, size_t N>
@@ -919,6 +934,41 @@ FleetCli parse_fleet_cli(const std::vector<std::string>& args) {
   }
   cli.run = parse_cli(rest);
   return cli;
+}
+
+std::string figures_cli_usage(const std::vector<std::string>& ids) {
+  std::string list;
+  for (const std::string& id : ids) add(list, id, ' ');
+  return "usage: ccas_figures --figure=<id>|all [options]\n"
+         "Reproduces one row of the figure table (or every row): runs its\n"
+         "cells, prints its table next to the paper's values and writes\n"
+         "<bench name>.csv into the working directory.\n" +
+         usage_lines(kFigureFlags) +
+         "Figure ids: " + list + "\n"
+         "Environment: CCAS_JOBS, CCAS_CACHE_DIR, CCAS_NO_CACHE=1; REPRO_SCALE\n"
+         "(default 0.2), REPRO_WARMUP_SEC, REPRO_MEASURE_SEC, REPRO_STAGGER_SEC\n"
+         "Exit codes: 0 ok, 1 usage error, bad REPRO_* value, failed cell or\n"
+         "            failed figure gate (tools/EXIT_CODES.md)\n";
+}
+
+FiguresCliOptions parse_figures_cli(const std::vector<std::string>& args,
+                                    const std::vector<std::string>& ids) {
+  FiguresCliOptions opts;
+  opts.sweep = sweep::sweep_options_from_env();
+  if (opts.sweep.cache_dir.empty()) opts.sweep.cache_dir = ".ccas-cache";
+  opts.sweep.fail_fast = true;
+  for (const std::string& arg : args) {
+    if (!apply_flag(kFigureFlags, opts, arg)) {
+      fail("unknown flag '" + key_of(arg) + "' (see --help)");
+    }
+  }
+  if (opts.figure.empty()) fail("--figure=<id>|all is required (see --help)");
+  if (opts.figure != "all" &&
+      std::find(ids.begin(), ids.end(), opts.figure) == ids.end()) {
+    fail("--figure must be all or one of the ids --help lists (got '" + opts.figure +
+         "')");
+  }
+  return opts;
 }
 
 SpecCliRendering spec_to_cli(const ExperimentSpec& spec) {

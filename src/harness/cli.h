@@ -2,12 +2,13 @@
 // tools/ccas_fleet: parses "--key=value" flags into an ExperimentSpec so any
 // of the paper's configurations (and new ones) can be run without writing
 // C++, and renders a spec back into those flags for .repro replay files.
+// bench/ccas_figures parses its sweep flags here too.
 //
 //   ccas_run --setting=core --groups=bbr:1:20,newreno:1000:20
 //            --warmup=10 --measure=30 --seed=7 --trace=0.5 --csv=out
 //
-// Each flag is declared once, as a row of one of the two flag tables in
-// cli.cc (grid flags and fleet flags): its name, value syntax, help text,
+// Each flag is declared once, as a row of one of the flag tables in
+// cli.cc (grid, fleet and figures flags): its name, value syntax, help text,
 // parser and (for spec fields) renderer. parse_cli, cli_usage,
 // parse_fleet_cli, fleet_cli_usage and spec_to_cli all read those tables;
 // `ccas_run --help` and `ccas_fleet --help` print them. A value that is
@@ -72,6 +73,26 @@ struct FleetCli {
 
 // The ccas_fleet --help text.
 [[nodiscard]] std::string fleet_cli_usage();
+
+// ---- ccas_figures ---------------------------------------------------------
+//
+// The reproduction front end (bench/ccas_figures.cc): which row of the
+// figure table to run, plus the sweep flags every row shares.
+struct FiguresCliOptions {
+  std::string figure;  // a figure id, or "all"
+  // From CCAS_JOBS / CCAS_CACHE_DIR / CCAS_NO_CACHE with the flags on top.
+  // The cache defaults to .ccas-cache, and a failed cell aborts the run
+  // (fail_fast): a figure is printed whole or not at all.
+  sweep::SweepOptions sweep;
+};
+
+// Throws std::invalid_argument on a bad flag, or when --figure is missing
+// or names neither one of `ids` nor "all".
+[[nodiscard]] FiguresCliOptions parse_figures_cli(const std::vector<std::string>& args,
+                                                  const std::vector<std::string>& ids);
+
+// The ccas_figures --help text, listing `ids`.
+[[nodiscard]] std::string figures_cli_usage(const std::vector<std::string>& ids);
 
 // Inverse of parse_cli for a single cell: `args` reproduces `spec` exactly
 // — spec_cache_key-identical after a parse_cli round trip — despite the

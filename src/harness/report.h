@@ -1,4 +1,4 @@
-// Fixed-width console tables used by the benches and examples to print the
+// Fixed-width console tables used by ccas_figures and examples to print the
 // same rows/series the paper's tables and figures report.
 #pragma once
 

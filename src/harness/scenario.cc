@@ -1,8 +1,12 @@
 #include "src/harness/scenario.h"
 
 #include <algorithm>
+#include <cctype>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace ccas {
 
@@ -31,32 +35,64 @@ Scenario Scenario::for_setting(Setting setting) {
 }
 
 namespace {
-double env_double(const char* name, double fallback) {
+
+// A REPRO_* value: a finite positive decimal with nothing after it. A typo
+// must not silently run a different experiment (REPRO_SCALE=abc used to
+// run the paper's full scale, at ~25x the cost of the default).
+double env_positive(const char* name, double fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
   char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || parsed <= 0.0) return fallback;
+  const double parsed =
+      std::isspace(static_cast<unsigned char>(v[0])) != 0 ? 0.0 : std::strtod(v, &end);
+  if (end == nullptr || end == v || *end != '\0' || !std::isfinite(parsed) ||
+      parsed <= 0.0) {
+    throw std::invalid_argument(std::string(name) +
+                                " must be a positive finite number (got '" + v + "')");
+  }
   return parsed;
 }
+
+// x truncated to int64, refusing values the cast cannot hold (casting an
+// out-of-range double is undefined behaviour).
+int64_t truncated(const char* name, double x) {
+  if (!(x < 0x1p63)) throw std::invalid_argument(std::string(name) + " is out of range");
+  return static_cast<int64_t>(x);
+}
+
+TimeDelta env_duration(const char* name, TimeDelta fallback) {
+  if (std::getenv(name) == nullptr) return fallback;
+  const TimeDelta d = TimeDelta::nanos(truncated(name, env_positive(name, 0.0) * 1e9));
+  if (d <= TimeDelta::zero()) {
+    throw std::invalid_argument(std::string(name) + " rounds to zero nanoseconds");
+  }
+  return d;
+}
+
 }  // namespace
 
-double Scenario::apply_env_overrides() {
-  const double scale = env_double("REPRO_SCALE", 1.0);
+double Scenario::apply_env_overrides(double default_scale) {
+  const double scale = env_positive("REPRO_SCALE", default_scale);
   if (scale != 1.0) {
-    net.bottleneck_rate = net.bottleneck_rate * scale;
-    net.buffer_bytes = std::max<int64_t>(
-        static_cast<int64_t>(static_cast<double>(net.buffer_bytes) * scale),
-        16 * kDataPacketBytes);
+    const double bps = static_cast<double>(net.bottleneck_rate.bits_per_sec()) * scale;
+    net.bottleneck_rate = DataRate::bps(truncated("REPRO_SCALE", bps));
+    if (net.bottleneck_rate.is_zero()) {
+      throw std::invalid_argument("REPRO_SCALE rounds the bottleneck rate to zero");
+    }
+    const double bytes = static_cast<double>(net.buffer_bytes) * scale;
+    net.buffer_bytes =
+        std::max<int64_t>(truncated("REPRO_SCALE", bytes), 16 * kDataPacketBytes);
   }
-  warmup = TimeDelta::seconds_f(env_double("REPRO_WARMUP_SEC", warmup.sec()));
-  measure = TimeDelta::seconds_f(env_double("REPRO_MEASURE_SEC", measure.sec()));
-  stagger = TimeDelta::seconds_f(env_double("REPRO_STAGGER_SEC", stagger.sec()));
+  warmup = env_duration("REPRO_WARMUP_SEC", warmup);
+  measure = env_duration("REPRO_MEASURE_SEC", measure);
+  stagger = env_duration("REPRO_STAGGER_SEC", stagger);
   return scale;
 }
 
 int scaled_flow_count(int count, double scale) {
-  return std::max(1, static_cast<int>(std::lround(count * scale)));
+  const double scaled = std::round(count * scale);
+  if (!(scaled < INT_MAX)) throw std::invalid_argument("scaled flow count overflows int");
+  return std::max(1, static_cast<int>(scaled));
 }
 
 }  // namespace ccas

@@ -34,9 +34,12 @@ struct Scenario {
   [[nodiscard]] static Scenario for_setting(Setting setting);
 
   // Applies the REPRO_SCALE / REPRO_WARMUP_SEC / REPRO_MEASURE_SEC /
-  // REPRO_STAGGER_SEC environment overrides. Returns the scale factor
-  // applied (multiply flow counts by it too).
-  double apply_env_overrides();
+  // REPRO_STAGGER_SEC environment overrides; an unset REPRO_SCALE means
+  // `default_scale`. Returns the scale factor applied (multiply flow counts
+  // by it too). Throws std::invalid_argument on a value that is malformed,
+  // has trailing junk, is not finite or not positive, or scales a rate,
+  // buffer or duration past int64 or down to zero.
+  double apply_env_overrides(double default_scale = 1.0);
 
   [[nodiscard]] std::string name() const {
     return setting == Setting::kEdgeScale ? "EdgeScale" : "CoreScale";
@@ -44,7 +47,8 @@ struct Scenario {
 };
 
 // Scale a flow count by the REPRO_SCALE factor returned from
-// apply_env_overrides (at least 1 flow).
+// apply_env_overrides (at least 1 flow; throws std::invalid_argument past
+// INT_MAX).
 [[nodiscard]] int scaled_flow_count(int count, double scale);
 
 }  // namespace ccas

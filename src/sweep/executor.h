@@ -69,7 +69,8 @@ struct SweepOptions {
 };
 
 // Reads CCAS_JOBS, CCAS_CACHE_DIR and CCAS_NO_CACHE into a SweepOptions
-// (the benches' environment interface; CLI flags override on top).
+// (the environment interface of ccas_figures and ccas_run; flags override
+// on top).
 [[nodiscard]] SweepOptions sweep_options_from_env();
 
 enum class CellStatus {
@@ -114,7 +115,7 @@ class SweepExecutor {
   // completed results. Only configuration errors throw: a manifest salt
   // mismatch (std::invalid_argument), an unusable manifest directory, or
   // — with fail_fast — the first cell failure, rethrown after all
-  // workers stop (the legacy contract the benches rely on).
+  // workers stop (the legacy contract ccas_figures relies on).
   [[nodiscard]] std::vector<CellOutcome> run(const SweepSpec& sweep);
 
   // Terminal failures of the last run(), in cell order.

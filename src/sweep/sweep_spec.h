@@ -26,7 +26,7 @@ struct SweepCell {
 [[nodiscard]] uint64_t derive_cell_seed(uint64_t base_seed, std::string_view cell_name);
 
 struct SweepSpec {
-  std::string name;        // sweep label, e.g. the bench binary name
+  std::string name;        // sweep label, e.g. the figure's bench name
   uint64_t base_seed = 1;  // mixed into derived cell seeds
   std::vector<SweepCell> cells;
 

@@ -1,165 +1,162 @@
-// Tier-2 auditor stress grid: one representative cell per reproduction
-// bench (bench/bench_*.cc), run at REPRO_SCALE=0.05 with the invariant
-// auditor enabled. run_experiment throws on any violation, so completing
-// the grid IS the assertion: the whole configuration space the benches
-// exercise (both settings, every CCA mix, SACK off, delayed-ACK off,
-// undersized buffers) holds the conservation/scoreboard/PRR invariants.
+// Tier-2 auditor stress grid: one cell of every row of the figure table
+// (bench/figures.cc), built at REPRO_SCALE=0.05 with durations compressed
+// far below the figure defaults and the invariant auditor enabled.
+// run_experiment throws on any violation, so completing the grid IS the
+// assertion; each row's extractor then runs on its cell's result. A new
+// row is audited with no change here, and the grid is checked to still
+// cover the configuration space the figures exercise (both settings, every
+// CCA mix, SACK off, delayed-ACK off, undersized buffers, the drop log).
 //
 // Gated behind CCAS_CHECK so plain `ctest` (tier 1) stays fast; the ASan
 // CI job runs it with CCAS_CHECK=1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "bench/figures.h"
 #include "src/check/audit.h"
 #include "src/harness/runner.h"
 #include "src/harness/scenario.h"
+#include "src/sweep/spec_hash.h"
 
 namespace ccas::check {
 namespace {
 
+using bench::Figure;
+using bench::FigureCell;
+
 constexpr double kScale = 0.05;
 
-// Mirrors bench_common.h's make_scenario: CoreScale shrinks with
-// REPRO_SCALE (bandwidth + buffer together, per-flow BDP preserved),
-// EdgeScale always runs at the paper's parameters. Durations are
-// compressed far below the bench defaults — this grid probes invariants,
-// not steady-state statistics.
-Scenario stress_scenario(Setting setting) {
-  Scenario s = Scenario::for_setting(setting);
-  if (setting == Setting::kCoreScale) {
-    s.net.bottleneck_rate = s.net.bottleneck_rate * kScale;
-    s.net.buffer_bytes = std::max<int64_t>(
-        static_cast<int64_t>(static_cast<double>(s.net.buffer_bytes) * kScale),
-        16 * kDataPacketBytes);
-  }
-  s.stagger = TimeDelta::millis(200);
-  s.warmup = TimeDelta::millis(500);
-  s.measure = TimeDelta::seconds(1);
-  return s;
-}
-
 struct StressCell {
-  std::string bench;  // which bench binary this cell represents
-  ExperimentSpec spec;
+  const Figure* figure = nullptr;  // null for the extra cell
+  FigureCell cell;
 };
 
-ExperimentSpec base_spec(Setting setting) {
-  ExperimentSpec spec;
-  spec.scenario = stress_scenario(setting);
-  spec.seed = 42;
-  spec.audit = true;
-  return spec;
+// Rows audit their first cell unless named here: the cell that adds a
+// feature no other row's first cell has.
+const std::map<std::string, std::string>& chosen_cells() {
+  static const std::map<std::string, std::string> chosen{
+      {"ablation_delack", "delack=off/gro=off"},
+      {"ablation_sack", "EdgeScale/sack=off"},
+      {"aqm_grid", "aqm/edge/red+ecn/rtt-unfair"},  // ECN marks, mixed RTTs
+  };
+  return chosen;
 }
 
-int core_flows(int paper_count) { return scaled_flow_count(paper_count, kScale); }
+void compress(ExperimentSpec& spec) {
+  spec.scenario.stagger = TimeDelta::millis(200);
+  spec.scenario.warmup = TimeDelta::millis(500);
+  spec.scenario.measure = TimeDelta::seconds(1);
+  spec.audit = true;
+}
 
-// One cell per bench, at that bench's characteristic coordinate.
 std::vector<StressCell> stress_grid() {
+  ::setenv("REPRO_SCALE", std::to_string(kScale).c_str(), 1);
+  for (const char* v : {"REPRO_WARMUP_SEC", "REPRO_MEASURE_SEC", "REPRO_STAGGER_SEC"}) {
+    ::unsetenv(v);
+  }
   std::vector<StressCell> grid;
-  const TimeDelta rtt20 = TimeDelta::millis(20);
-  const TimeDelta rtt100 = TimeDelta::millis(100);
-
-  {  // fig2: Mathis error, NewReno at CoreScale flow counts.
-    ExperimentSpec s = base_spec(Setting::kCoreScale);
-    s.groups.push_back({"newreno", core_flows(1000), rtt20});
-    grid.push_back({"bench_fig2_mathis_error", std::move(s)});
+  for (const Figure& figure : bench::figure_table()) {
+    const bench::Grid cells = figure.grid();
+    const auto chosen = chosen_cells().find(figure.id);
+    auto pick = cells.begin();
+    if (chosen != chosen_cells().end()) {
+      pick = std::find_if(cells.begin(), cells.end(), [&](const FigureCell& c) {
+        return c.name == chosen->second;
+      });
+      if (pick == cells.end()) {
+        ADD_FAILURE() << figure.id << " has no cell " << chosen->second;
+        continue;
+      }
+    }
+    grid.push_back({&figure, *pick});
+    compress(grid.back().cell.spec);
   }
-  {  // fig3: loss rate vs halving rate, NewReno at EdgeScale.
-    ExperimentSpec s = base_spec(Setting::kEdgeScale);
-    s.groups.push_back({"newreno", 10, rtt20});
-    grid.push_back({"bench_fig3_loss_halving_ratio", std::move(s)});
-  }
-  {  // table1: Mathis constant fit, NewReno EdgeScale.
-    ExperimentSpec s = base_spec(Setting::kEdgeScale);
-    s.groups.push_back({"newreno", 30, rtt20});
-    grid.push_back({"bench_table1_mathis_constant", std::move(s)});
-  }
-  {  // fig4: BBR intra-CCA fairness at CoreScale.
-    ExperimentSpec s = base_spec(Setting::kCoreScale);
-    s.groups.push_back({"bbr", core_flows(1000), rtt100});
-    grid.push_back({"bench_fig4_bbr_intra_jfi", std::move(s)});
-  }
-  {  // fig5: Cubic vs Reno population split.
-    ExperimentSpec s = base_spec(Setting::kCoreScale);
-    s.groups.push_back({"cubic", core_flows(500), rtt20});
-    s.groups.push_back({"newreno", core_flows(500), rtt20});
-    grid.push_back({"bench_fig5_cubic_vs_reno", std::move(s)});
-  }
-  {  // fig6: one BBR flow against a NewReno population.
-    ExperimentSpec s = base_spec(Setting::kCoreScale);
-    s.groups.push_back({"bbr", 1, rtt100});
-    s.groups.push_back({"newreno", core_flows(1000), rtt100});
-    grid.push_back({"bench_fig6_one_bbr_vs_reno", std::move(s)});
-  }
-  {  // fig7: one BBR flow against a Cubic population.
-    ExperimentSpec s = base_spec(Setting::kCoreScale);
-    s.groups.push_back({"bbr", 1, rtt100});
-    s.groups.push_back({"cubic", core_flows(1000), rtt100});
-    grid.push_back({"bench_fig7_one_bbr_vs_cubic", std::move(s)});
-  }
-  {  // fig8: equal-count BBR vs Cubic.
-    ExperimentSpec s = base_spec(Setting::kCoreScale);
-    s.groups.push_back({"bbr", core_flows(500), rtt100});
-    s.groups.push_back({"cubic", core_flows(500), rtt100});
-    grid.push_back({"bench_fig8_bbr_equal_count", std::move(s)});
-  }
-  {  // finding4: loss-based CCAs stay fair at scale.
-    ExperimentSpec s = base_spec(Setting::kCoreScale);
-    s.groups.push_back({"cubic", core_flows(1000), rtt100});
-    grid.push_back({"bench_finding4_loss_based_jfi", std::move(s)});
-  }
-  {  // burstiness: drop-process burstiness needs the drop log.
-    ExperimentSpec s = base_spec(Setting::kCoreScale);
-    s.groups.push_back({"newreno", core_flows(1000), rtt20});
-    s.record_drop_log = true;
-    grid.push_back({"bench_burstiness", std::move(s)});
-  }
-  {  // ablation: 0.1x bottleneck buffer.
-    ExperimentSpec s = base_spec(Setting::kCoreScale);
-    s.scenario.net.buffer_bytes = std::max<int64_t>(
-        s.scenario.net.buffer_bytes / 10, 16 * kDataPacketBytes);
-    s.groups.push_back({"newreno", core_flows(1000), rtt20});
-    grid.push_back({"bench_ablation_buffer", std::move(s)});
-  }
-  {  // ablation: delayed ACKs off.
-    ExperimentSpec s = base_spec(Setting::kEdgeScale);
-    s.groups.push_back({"newreno", 10, rtt20});
-    s.receiver.delayed_ack = false;
-    grid.push_back({"bench_ablation_delack", std::move(s)});
-  }
-  {  // ablation: SACK off (dupack-only recovery is the auditor's hardest
-     // customer: pipe deflation, RFC 5681 forced retransmits).
-    ExperimentSpec s = base_spec(Setting::kEdgeScale);
-    s.groups.push_back({"newreno", 10, rtt20});
-    s.tcp.sack_enabled = false;
-    grid.push_back({"bench_ablation_sack", std::move(s)});
-  }
-  {  // ablation: BBR min_cwnd (default config's floor, mixed RTTs).
-    ExperimentSpec s = base_spec(Setting::kEdgeScale);
-    s.groups.push_back({"bbr", 5, rtt20});
-    s.groups.push_back({"bbr", 5, rtt100});
-    grid.push_back({"bench_ablation_bbr_mincwnd", std::move(s)});
-  }
+  ::unsetenv("REPRO_SCALE");
+  // BBR flows at two RTTs on one bottleneck, which no figure row runs.
+  StressCell extra;
+  extra.cell.name = "bbr-mixed-rtt";
+  extra.cell.spec.scenario = Scenario::edge_scale();
+  extra.cell.spec.groups = {{"bbr", 5, TimeDelta::millis(20)},
+                            {"bbr", 5, TimeDelta::millis(100)}};
+  extra.cell.spec.seed = 42;
+  compress(extra.cell.spec);
+  grid.push_back(extra);
   return grid;
 }
 
-TEST(check_stress, BenchGridRunsAuditCleanAtSmallScale) {
+TEST(check_stress, FigureGridCoversTheFiguresFeatures) {
+  std::set<Setting> settings;
+  std::set<std::set<std::string>> mixes;
+  bool sack_off = false;
+  bool delack_off = false;
+  bool small_buffer = false;
+  bool drop_log = false;
+  const int64_t core_buffer =
+      static_cast<int64_t>(static_cast<double>(Scenario::core_scale().net.buffer_bytes) *
+                           kScale);
+  for (const StressCell& s : stress_grid()) {
+    const ExperimentSpec& spec = s.cell.spec;
+    settings.insert(spec.scenario.setting);
+    std::set<std::string> mix;
+    for (const FlowGroup& g : spec.groups) mix.insert(g.cca);
+    mixes.insert(mix);
+    sack_off |= !spec.tcp.sack_enabled;
+    delack_off |= !spec.receiver.delayed_ack;
+    small_buffer |= spec.scenario.setting == Setting::kCoreScale &&
+                    spec.scenario.net.buffer_bytes * 10 <= core_buffer;
+    drop_log |= spec.record_drop_log;
+  }
+  EXPECT_EQ(settings.size(), 2u);
+  for (const std::set<std::string>& mix :
+       std::vector<std::set<std::string>>{{"newreno"},
+                                          {"cubic"},
+                                          {"bbr"},
+                                          {"cubic", "newreno"},
+                                          {"bbr", "newreno"},
+                                          {"bbr", "cubic"}}) {
+    std::string names;
+    for (const std::string& cca : mix) names += cca + " ";
+    EXPECT_EQ(mixes.count(mix), 1u) << "no cell runs exactly " << names;
+  }
+  EXPECT_TRUE(sack_off);
+  EXPECT_TRUE(delack_off);
+  EXPECT_TRUE(small_buffer);
+  EXPECT_TRUE(drop_log);
+}
+
+TEST(check_stress, FigureGridRunsAuditCleanAtSmallScale) {
   if (!kAuditHooksCompiled) {
     GTEST_SKIP() << "audit hooks compiled out (CCAS_CHECK_HOOKS=OFF)";
   }
   if (!check_enabled_from_env()) {
     GTEST_SKIP() << "tier-2 stress grid; set CCAS_CHECK=1 to run";
   }
-  for (const StressCell& cell : stress_grid()) {
-    SCOPED_TRACE(cell.bench);
-    ExperimentResult result;
-    // run_experiment throws with the auditor's report on any violation.
-    ASSERT_NO_THROW(result = run_experiment(cell.spec)) << cell.bench;
-    EXPECT_GT(result.aggregate_goodput_bps, 0.0) << cell.bench;
-    EXPECT_GT(result.sim_events, 0u) << cell.bench;
+  // Table 1, Figs 2-3 and burstiness share a grid: their cell runs once.
+  std::map<uint64_t, ExperimentResult> results;
+  for (const StressCell& s : stress_grid()) {
+    const std::string what = (s.figure ? s.figure->id + " " : "") + s.cell.name;
+    SCOPED_TRACE(what);
+    const uint64_t key = sweep::spec_cache_key(s.cell.spec);
+    if (results.count(key) == 0) {
+      // run_experiment throws with the auditor's report on any violation.
+      ASSERT_NO_THROW(results[key] = run_experiment(s.cell.spec)) << what;
+    }
+    const ExperimentResult& result = results[key];
+    EXPECT_GT(result.aggregate_goodput_bps + result.workload_goodput_bps, 0.0) << what;
+    EXPECT_GT(result.sim_events, 0u) << what;
+    if (s.figure == nullptr) continue;
+    bench::FigureReport report;
+    s.figure->extract({s.cell}, {&result}, report);
+    ASSERT_FALSE(report.rows.empty()) << what;
+    for (const bench::Row& row : report.rows) {
+      EXPECT_EQ(row.size(), s.figure->header.size()) << what;
+    }
   }
 }
 
@@ -175,7 +172,10 @@ TEST(check_stress, UserscaleWorkloadRunsAuditCleanAtScale) {
   if (!check_enabled_from_env()) {
     GTEST_SKIP() << "tier-2 stress grid; set CCAS_CHECK=1 to run";
   }
-  ExperimentSpec spec = base_spec(Setting::kEdgeScale);
+  ExperimentSpec spec;
+  spec.scenario = Scenario::edge_scale();
+  spec.seed = 42;
+  compress(spec);
   spec.groups.push_back({"cubic", 2, TimeDelta::millis(20)});
   spec.workload.arrival = ArrivalKind::kPoisson;
   spec.workload.arrivals_per_sec = 2000.0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 
 #include "src/harness/report.h"
 #include "src/harness/runner.h"
@@ -45,6 +46,34 @@ TEST(Scenario, NoEnvMeansIdentity) {
   Scenario s = Scenario::edge_scale();
   EXPECT_DOUBLE_EQ(s.apply_env_overrides(), 1.0);
   EXPECT_EQ(s.net.bottleneck_rate, DataRate::mbps(100));
+  // A caller's default applies only while REPRO_SCALE is unset.
+  Scenario core = Scenario::core_scale();
+  EXPECT_DOUBLE_EQ(core.apply_env_overrides(0.2), 0.2);
+  EXPECT_EQ(core.net.bottleneck_rate, DataRate::gbps(2));
+}
+
+TEST(Scenario, MalformedEnvOverridesAreRejected) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"REPRO_SCALE", "nan"},  // was a -2^63 bps bottleneck
+      {"REPRO_SCALE", "1e-300"},  // was a 0 bps bottleneck
+      {"REPRO_MEASURE_SEC", "inf"},  // was a negative measure window
+      {"REPRO_SCALE", "abc"},  // was the paper's full scale
+      {"REPRO_SCALE", "0.2junk"},  // was 0.2
+      {"REPRO_SCALE", ""},
+      {"REPRO_SCALE", " 0.2"},
+      {"REPRO_SCALE", "0"},
+      {"REPRO_SCALE", "-0.5"},
+      {"REPRO_SCALE", "1e10"},  // 1e20 bps overflows int64
+      {"REPRO_WARMUP_SEC", "1e-12"},  // rounds to 0 ns
+      {"REPRO_STAGGER_SEC", "1e10"},  // 1e19 ns overflows int64
+  };
+  for (const auto& [name, value] : bad) {
+    ::setenv(name, value, 1);
+    Scenario s = Scenario::core_scale();
+    EXPECT_THROW(s.apply_env_overrides(), std::invalid_argument) << name << "=" << value;
+    ::unsetenv(name);
+  }
+  EXPECT_THROW((void)scaled_flow_count(5000, 1e8), std::invalid_argument);
 }
 
 ExperimentSpec tiny_spec() {

@@ -3,10 +3,11 @@
 # binary: exit-code taxonomy (tools/EXIT_CODES.md), failure isolation
 # (healthy cells byte-identical next to injected faults), quarantine
 # .repro replay, transient retry, resume-after-abort byte identity, and
-# manifest salt pinning, plus exit 1 for bad flag values. Run from the repo
-# root:
+# manifest salt pinning, plus exit 1 for bad flag values (ccas_figures
+# included). Run from the repo root:
 #
-#   tools/sweep_fault_ci.sh [path/to/ccas_run] [path/to/ccas_fleet]
+#   tools/sweep_fault_ci.sh [path/to/ccas_run] [path/to/ccas_fleet] \
+#                           [path/to/ccas_figures]
 #
 # CI runs it against the ASan build so every injected failure path is
 # also leak/UB-checked. Uses only the CCAS_FAIL_CELL test hook; no cell
@@ -18,12 +19,17 @@ set -u
 
 RUN="${1:-./build/tools/ccas_run}"
 FLEET="${2:-$(dirname "$RUN")/ccas_fleet}"
+FIGURES="${3:-$(dirname "$RUN")/../bench/ccas_figures}"
 if [ ! -x "$RUN" ]; then
   echo "error: ccas_run binary not found at $RUN" >&2
   exit 1
 fi
 if [ ! -x "$FLEET" ]; then
   echo "error: ccas_fleet binary not found at $FLEET" >&2
+  exit 1
+fi
+if [ ! -x "$FIGURES" ]; then
+  echo "error: ccas_figures binary not found at $FIGURES" >&2
   exit 1
 fi
 
@@ -286,6 +292,31 @@ run_case switch-with-value 1 "$WORK/switch_value.out" \
   "$RUN" "${BASE_FLAGS[@]}" --no-cache=false
 run_case fleet-bad-lease-ttl 1 "$WORK/fleet_bad_ttl.out" \
   "$FLEET" "${BASE_FLAGS[@]}" --fleet-dir="$WORK/fleet_bad" --lease-ttl=nan
+
+# --- 12. ccas_figures: bad input and a failed cell exit 1 ------------------
+# The per-figure bench binaries it replaced ran --jobs=3x with 3 workers,
+# took --no-cache=false as --no-cache, ran REPRO_SCALE=nan with a -2^63 bps
+# bottleneck, and died of SIGABRT on a failed (fail-fast) cell.
+FIG_FLAGS=(--cache-dir="$WORK/fig_cache" --no-progress)
+run_case figures-unknown-id 1 "$WORK/fig_id.out" \
+  "$FIGURES" "${FIG_FLAGS[@]}" --figure=nope
+run_case figures-bad-jobs 1 "$WORK/fig_jobs.out" \
+  "$FIGURES" "${FIG_FLAGS[@]}" --figure=fig4 --jobs=3x
+run_case figures-switch-with-value 1 "$WORK/fig_switch.out" \
+  "$FIGURES" "${FIG_FLAGS[@]}" --figure=fig4 --no-cache=false
+run_case figures-nan-scale 1 "$WORK/fig_nan.out" \
+  env REPRO_SCALE=nan "$FIGURES" "${FIG_FLAGS[@]}" --figure=fig4
+run_case figures-failed-cell 1 "$WORK/fig_throw.out" \
+  env CCAS_FAIL_CELL='min_cwnd=2:throw' \
+  "$FIGURES" "${FIG_FLAGS[@]}" --figure=ablation_bbr_mincwnd --jobs=1
+# A healthy tiny-scale figure still prints its table and writes its CSV.
+run_case figures-smoke 0 "$WORK/fig_smoke.out" \
+  env -C "$WORK" REPRO_SCALE=0.02 REPRO_STAGGER_SEC=0.2 REPRO_WARMUP_SEC=0.5 \
+  REPRO_MEASURE_SEC=1 "$(realpath "$FIGURES")" "${FIG_FLAGS[@]}" --figure=ablation_sack
+if [ ! -s "$WORK/bench_ablation_sack.csv" ]; then
+  echo "FAIL [figures-smoke]: no bench_ablation_sack.csv written" >&2
+  FAILURES=$((FAILURES + 1))
+fi
 
 echo
 if [ "$FAILURES" -ne 0 ]; then
