@@ -675,7 +675,9 @@ constexpr Flag<Cli> kGridFlags[] = {
      },
      [](Spec s, Notes&) { return render_duration(s.tcp.rto_rearm_slack, 1e6); }},
     {"--perf", nullptr, "print the kernel profiler summary per cell",
-     [](Cli& o, Str, Str) { o.perf = true; }},
+     [](Cli& o, Str, Str) { o.perf = true; }, nullptr,
+     "profiles are per-run output, and the shared store and its report are the "
+     "fleet's output"},
     {"--trace", "<sec>", "time-series sampling interval (0 = off)",
      [](Cli& o, Str k, Str v) { o.spec.trace_interval = duration(k, v, Min::kZero); },
      [](Spec s, Notes&) { return render_duration(s.trace_interval); },
@@ -693,35 +695,45 @@ constexpr Flag<Cli> kGridFlags[] = {
     // An explicit --jobs=0 or --shards=0 is a typo, not the default
     // (hardware concurrency, or serial).
     {"--jobs", "<n>", "worker threads (default: hardware concurrency)",
-     [](Cli& o, Str k, Str v) { o.sweep.jobs = int_in(k, v, 1, INT_MAX); }},
+     [](Cli& o, Str k, Str v) { o.sweep.jobs = int_in(k, v, 1, INT_MAX); }, nullptr,
+     "a worker computes one cell at a time (start more workers instead)"},
     {"--shards", "<n>",
      "event domains per cell (default 1, or the\nCCAS_SHARDS env); not yet "
      "byte-identical to\nserial at CoreScale flow counts (README)",
      [](Cli& o, Str k, Str v) { o.spec.shards = int_in(k, v, 1, INT_MAX); },
      [](Spec s, Notes&) { return std::to_string(s.shards); }},
     {"--cache-dir", "<path>", "enable the on-disk result cache",
-     [](Cli& o, Str, Str v) { o.sweep.cache_dir = v; }},
+     [](Cli& o, Str, Str v) { o.sweep.cache_dir = v; }, nullptr,
+     "the shared results store under <fleet-dir>/results is the fleet's cache"},
     {"--no-cache", nullptr, "bypass the cache even if a dir is set",
-     [](Cli& o, Str, Str) { o.sweep.use_cache = false; }},
+     [](Cli& o, Str, Str) { o.sweep.use_cache = false; }, nullptr,
+     "the shared results store is the fleet's output and is always used"},
     {"--cell-timeout", "<sec>", "wall-clock watchdog per cell attempt",
-     [](Cli& o, Str k, Str v) { o.sweep.cell_timeout = duration(k, v, Min::kPositive); }},
+     [](Cli& o, Str k, Str v) {
+       o.sweep.supervision.cell_timeout = duration(k, v, Min::kPositive);
+     }},
     // 0 means "no ceiling" internally; an explicit 0 is a typo'd budget.
     {"--cell-events", "<n>", "simulated-event ceiling per cell attempt",
-     [](Cli& o, Str k, Str v) { o.sweep.max_cell_events = integer(k, v, 1); }},
+     [](Cli& o, Str k, Str v) {
+       o.sweep.supervision.max_cell_events = integer(k, v, 1);
+     }},
     {"--cell-rss", "<mb>", "estimated-peak-RSS ceiling per cell attempt",
      [](Cli& o, Str k, Str v) {
-       o.sweep.max_cell_rss_bytes = truncated(k, number(k, v, Min::kPositive), 1e6);
-       if (o.sweep.max_cell_rss_bytes <= 0) fail(k + " rounds to zero bytes");
+       int64_t& rss = o.sweep.supervision.max_cell_rss_bytes;
+       rss = truncated(k, number(k, v, Min::kPositive), 1e6);
+       if (rss <= 0) fail(k + " rounds to zero bytes");
      }},
     {"--retries", "<n>", "retries for transient failures, 0-16 (default 2)",
-     [](Cli& o, Str k, Str v) { o.sweep.retries = int_in(k, v, 0, 16); }},
+     [](Cli& o, Str k, Str v) { o.sweep.supervision.retries = int_in(k, v, 0, 16); }},
     {"--max-failures", "<n>", "abort the sweep after n terminal cell failures",
      [](Cli& o, Str k, Str v) {
        o.sweep.max_failures = int_in(k, v, INT_MIN, INT_MAX);
        if (o.sweep.max_failures <= 0) {
          fail(k + " must be positive (use --fail-fast to abort on the first failure)");
        }
-     }},
+     },
+     nullptr,
+     "one worker cannot abort the others (use --fleet-wait to bound a stalled job)"},
     {"--resume", "<dir>", "resumable manifest; journaled-ok cells are skipped",
      [](Cli& o, Str, Str v) { o.sweep.resume_dir = v; }, nullptr,
      "the fleet store is itself the resumable manifest (point --fleet-dir at it again "
@@ -798,6 +810,26 @@ bool apply_flag(const Flag<Opts> (&table)[N], Opts& opts, Str arg) {
   return true;
 }
 
+// An environment variable's value; unset and empty both read as null.
+const char* env_value(const char* name) {
+  const char* v = std::getenv(name);
+  return v != nullptr && *v != '\0' ? v : nullptr;
+}
+
+// CCAS_JOBS, CCAS_CACHE_DIR and CCAS_NO_CACHE, the sweep environment of
+// ccas_run, ccas_fleet and ccas_figures (their flags apply on top), read
+// as strictly as the flags they stand in for.
+sweep::SweepOptions sweep_env() {
+  constexpr const char* kBits[] = {"0", "1"};
+  sweep::SweepOptions opts;
+  if (auto* v = env_value("CCAS_JOBS")) opts.jobs = int_in("CCAS_JOBS", v, 1, INT_MAX);
+  if (auto* v = env_value("CCAS_CACHE_DIR")) opts.cache_dir = v;
+  if (auto* v = env_value("CCAS_NO_CACHE")) {
+    opts.use_cache = !named<bool>("CCAS_NO_CACHE", v, kBits);
+  }
+  return opts;
+}
+
 template <typename Opts, size_t N>
 std::string usage_lines(const Flag<Opts> (&table)[N]) {
   const std::string indent(24, ' ');
@@ -833,9 +865,9 @@ std::string cli_usage() {
 CliOptions parse_cli(const std::vector<std::string>& args) {
   CliOptions opts;
   opts.spec.scenario = Scenario::core_scale();
-  opts.sweep = sweep::sweep_options_from_env();
+  opts.sweep = sweep_env();
   // Environment default for sharding; an explicit --shards flag wins.
-  if (const char* env = std::getenv("CCAS_SHARDS"); env != nullptr && *env != '\0') {
+  if (const char* env = env_value("CCAS_SHARDS")) {
     opts.spec.shards = int_in("CCAS_SHARDS", env, 1, INT_MAX);
   }
   // --setting replaces the whole scenario, so it goes first whatever the
@@ -878,6 +910,18 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
   opts.spec.scenario.net.qdisc.validate();
   opts.spec.workload.validate();  // weight sum, per-class params
   return opts;
+}
+
+sweep::SweepSpec seed_grid(const CliOptions& opts, std::string name) {
+  sweep::SweepSpec grid;
+  grid.name = std::move(name);
+  for (const uint64_t seed : opts.seeds.empty() ? std::vector<uint64_t>{opts.spec.seed}
+                                                : opts.seeds) {
+    ExperimentSpec spec = opts.spec;
+    spec.seed = seed;
+    grid.add_cell("seed=" + std::to_string(seed), std::move(spec));
+  }
+  return grid;
 }
 
 std::string fleet_cli_usage() {
@@ -954,7 +998,7 @@ std::string figures_cli_usage(const std::vector<std::string>& ids) {
 FiguresCliOptions parse_figures_cli(const std::vector<std::string>& args,
                                     const std::vector<std::string>& ids) {
   FiguresCliOptions opts;
-  opts.sweep = sweep::sweep_options_from_env();
+  opts.sweep = sweep_env();
   if (opts.sweep.cache_dir.empty()) opts.sweep.cache_dir = ".ccas-cache";
   opts.sweep.fail_fast = true;
   for (const std::string& arg : args) {

@@ -29,7 +29,9 @@ struct CliOptions {
   ExperimentSpec spec;
   std::string csv_prefix;        // empty = no CSV
   std::vector<uint64_t> seeds;   // extra seeds beyond spec.seed (--seeds)
-  sweep::SweepOptions sweep;     // --jobs / --cache-dir / --no-cache
+  // --jobs, --cache-dir, --no-cache and the supervision flags, on top of
+  // CCAS_JOBS, CCAS_CACHE_DIR and CCAS_NO_CACHE (parsed as strictly).
+  sweep::SweepOptions sweep;
   // --perf: print the kernel profiler summary (events/sec, scheduler and
   // timer counters) after each cell. Output-only — not part of the spec.
   bool perf = false;
@@ -41,6 +43,11 @@ struct CliOptions {
 
 // The --help text.
 [[nodiscard]] std::string cli_usage();
+
+// The sweep a parsed command line describes: one cell per --seeds entry
+// (spec.seed alone without --seeds), each named "seed=<n>", the name
+// CCAS_FAIL_CELL and the .repro replay lines use.
+[[nodiscard]] sweep::SweepSpec seed_grid(const CliOptions& opts, std::string name);
 
 // ---- ccas_fleet ----------------------------------------------------------
 //

@@ -3,50 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
-#include "src/check/audit.h"
-#include "src/harness/runner.h"
-#include "src/sim/budget.h"
 #include "src/sweep/manifest.h"
 #include "src/sweep/progress.h"
 #include "src/sweep/wire.h"
 #include "src/util/logging.h"
 
 namespace ccas::sweep {
-
-namespace {
-
-FailureClass budget_failure_class(BudgetExceeded::Kind kind) {
-  switch (kind) {
-    case BudgetExceeded::Kind::kWallClock: return FailureClass::kBudgetWall;
-    case BudgetExceeded::Kind::kSimEvents: return FailureClass::kBudgetEvents;
-    case BudgetExceeded::Kind::kRssEstimate: return FailureClass::kBudgetRss;
-  }
-  return FailureClass::kException;
-}
-
-}  // namespace
-
-SweepOptions sweep_options_from_env() {
-  SweepOptions opts;
-  if (const char* v = std::getenv("CCAS_JOBS")) {
-    const int jobs = std::atoi(v);
-    if (jobs > 0) opts.jobs = jobs;
-  }
-  if (const char* v = std::getenv("CCAS_CACHE_DIR")) {
-    opts.cache_dir = v;
-  }
-  if (const char* v = std::getenv("CCAS_NO_CACHE")) {
-    if (v[0] != '\0' && v[0] != '0') opts.use_cache = false;
-  }
-  return opts;
-}
 
 SweepExecutor::SweepExecutor(SweepOptions options) : options_(std::move(options)) {}
 
@@ -140,148 +110,78 @@ std::vector<CellOutcome> SweepExecutor::run(const SweepSpec& sweep) {
         }
       }
 
-      std::optional<CellFailure> failure;
-      std::optional<InjectedFault> injected;
-      int attempt = 0;
-      for (;;) {
-        ++attempt;
-        failure.reset();
-        std::exception_ptr eptr;
-        try {
-          if (!out.from_cache && cache && cacheable) {
-            if (auto cached = cache->load(out.cache_key)) {
-              out.result = std::move(*cached);
-              out.from_cache = true;
-            }
-          }
-          if (!out.from_cache) {
-            // Budget scope: the cancellation token and watchdog live
-            // exactly as long as this attempt; the watchdog joins (in its
-            // destructor) before the token leaves scope.
-            std::atomic<bool> cancelled{false};
-            SimBudget budget;
-            if (options_.cell_timeout > TimeDelta::zero()) {
-              budget.cancel = &cancelled;
-            }
-            budget.max_events = options_.max_cell_events;
-            budget.max_rss_bytes = options_.max_cell_rss_bytes;
-            CellWatchdog watchdog(options_.cell_timeout, &cancelled);
-            if (!faults.empty()) {
-              if (auto f = faults.next(cell.name)) {
-                injected = f;
-                execute_injected_fault(*f, &cancelled);
-              }
-            }
-            out.result =
-                run_experiment(cell.spec, budget.any() ? &budget : nullptr);
-            if (cache && cacheable) {
-              (void)cache->store(out.cache_key, out.result);  // best-effort
-            }
-          }
-          if (manifest && cacheable) {
-            // Resume integrity depends on the manifest's own results
-            // store and journal, so unlike the ordinary cache their
-            // failures are not best-effort: they surface as the transient
-            // kCacheIo class and go through the retry/backoff path.
-            if (!manifest_results->store(out.cache_key, out.result)) {
-              throw CacheIoError("sweep manifest: cannot store result for " +
-                                 cache_key_hex(out.cache_key) + " under " +
-                                 manifest->results_dir());
-            }
-          }
-          if (manifest && cacheable) {
-            // The digest lets a later multi-worker (fleet) run — or a
-            // resume on another host — verify byte-identity instead of
-            // trusting it: divergent duplicates surface as structured
-            // determinism-violation failures on replay.
-            manifest->record_ok(out.cache_key, attempt,
-                                fnv1a64(serialize_result(out.result)));
-          } else if (manifest) {
-            manifest->record_ok(out.cache_key, attempt);
-          }
-        } catch (const BudgetExceeded& e) {
-          eptr = std::current_exception();
-          failure = CellFailure{cell.name, budget_failure_class(e.kind()),
-                                e.what(), out.cache_key, attempt};
-        } catch (const check::AuditViolationError& e) {
-          eptr = std::current_exception();
-          failure = CellFailure{cell.name, FailureClass::kAuditViolation,
-                                e.what(), out.cache_key, attempt};
-        } catch (const CacheIoError& e) {
-          eptr = std::current_exception();
-          failure = CellFailure{cell.name, FailureClass::kCacheIo, e.what(),
-                                out.cache_key, attempt};
-        } catch (const std::exception& e) {
-          eptr = std::current_exception();
-          failure = CellFailure{cell.name, FailureClass::kException, e.what(),
-                                out.cache_key, attempt};
+      // fail_fast aborts on the first failure, transient or not.
+      CellSupervision supervision = options_.supervision;
+      if (options_.fail_fast) supervision.retries = 0;
+      // The ordinary cache is best-effort. With a manifest (--resume), its
+      // own results store and journal are not: resume integrity depends on
+      // them, so their failures surface as the transient kCacheIo class and
+      // go through the retry/backoff path.
+      ResultCache* cell_cache = cacheable ? cache.get() : nullptr;
+      auto lookup = [&] {
+        return cell_cache != nullptr ? cell_cache->load(out.cache_key) : std::nullopt;
+      };
+      auto persist = [&](const ExperimentResult& result, bool hit, int attempt) {
+        if (cell_cache != nullptr && !hit) (void)cell_cache->store(out.cache_key, result);
+        if (!manifest) return;
+        if (!cacheable) return manifest->record_ok(out.cache_key, attempt);
+        if (!manifest_results->store(out.cache_key, result)) {
+          throw CacheIoError("sweep manifest: cannot store result for " +
+                             cache_key_hex(out.cache_key) + " under " +
+                             manifest->results_dir());
         }
-        if (!failure) break;  // success
-
-        if (options_.fail_fast) {
-          // Legacy contract: first failure aborts the sweep and is
-          // rethrown (as the original exception) after all workers stop.
-          if (manifest) {
-            try {
-              manifest->record_failure(*failure);
-            } catch (const std::exception& e) {
-              log_warn("sweep manifest: %s", e.what());
-            }
-          }
-          {
-            std::lock_guard<std::mutex> lock(error_mu);
-            if (!first_error) first_error = eptr;
-          }
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-        if (failure_is_transient(failure->cls) && attempt <= options_.retries) {
-          progress.cell_retry(cell.name, failure_class_name(failure->cls),
-                              attempt);
-          std::this_thread::sleep_for(
-              std::chrono::nanoseconds(retry_backoff(attempt).ns()));
-          continue;
-        }
-        break;  // terminal failure
-      }
-      out.attempts = attempt;
+        // The digest lets a later multi-worker (fleet) run — or a resume
+        // on another host — verify byte-identity instead of trusting it:
+        // divergent duplicates surface as structured determinism-violation
+        // failures on replay.
+        manifest->record_ok(out.cache_key, attempt, fnv1a64(serialize_result(result)));
+      };
+      auto on_retry = [&](const CellFailure& f) {
+        progress.cell_retry(f.cell, failure_class_name(f.cls), f.attempts);
+      };
+      SupervisedCell run =
+          run_supervised_cell(cell, out.cache_key, supervision, faults,
+                              {std::ref(lookup), std::ref(persist), std::ref(on_retry)});
+      out.result = std::move(run.result);
+      out.from_cache = run.hit;
+      out.attempts = run.attempts;
       out.wall_sec = cell_elapsed();
-
-      if (!failure) {
+      if (!run.failure) {
         out.status = CellStatus::kOk;
         progress.cell_done(out.name, out.from_cache, out.result.sim_events,
                            out.wall_sec);
         continue;
       }
 
-      // Terminal failure: capture it in the outcome (an explicit hole in
-      // the partial results), journal it, quarantine a minimal repro, and
-      // keep the sweep going.
-      out.status = CellStatus::kFailed;
-      out.result = ExperimentResult{};
-      out.failure = failure;
       if (manifest) {
         try {
-          manifest->record_failure(*failure);
+          manifest->record_failure(*run.failure);
         } catch (const std::exception& e) {
           log_warn("sweep manifest: %s", e.what());
         }
       }
-      if (!quarantine_dir.empty()) {
-        QuarantineContext ctx;
-        ctx.cell_timeout = options_.cell_timeout;
-        ctx.max_cell_events = options_.max_cell_events;
-        ctx.max_cell_rss_bytes = options_.max_cell_rss_bytes;
-        if (injected) {
-          // Single-cell replays through ccas_run name their cell
-          // "seed=<n>", so the injection env is rewritten to match.
-          ctx.injection_env = "seed=" + std::to_string(cell.spec.seed) + ":" +
-                              injected_fault_name(*injected);
+      if (options_.fail_fast) {
+        // Legacy contract: first failure aborts the sweep and is
+        // rethrown (as the original exception) after all workers stop.
+        {
+          std::lock_guard<std::mutex> lock(error_mu);
+          if (!first_error) first_error = run.error;
         }
-        (void)write_quarantine_file(quarantine_dir, cell, *failure, ctx);
+        abort.store(true, std::memory_order_relaxed);
+        return;
       }
-      progress.cell_failed(out.name, failure_class_name(failure->cls),
-                           failure->attempts);
+
+      // Terminal failure (journaled above): capture it in the outcome (an
+      // explicit hole in the partial results), quarantine a minimal repro,
+      // and keep the sweep going.
+      out.status = CellStatus::kFailed;
+      out.failure = run.failure;
+      if (!quarantine_dir.empty()) {
+        (void)write_quarantine_file(quarantine_dir, cell, *run.failure,
+                                    options_.supervision, run.injected);
+      }
+      progress.cell_failed(out.name, failure_class_name(run.failure->cls),
+                           run.failure->attempts);
       if (options_.max_failures > 0 &&
           terminal_failures.fetch_add(1, std::memory_order_relaxed) + 1 >=
               options_.max_failures) {

@@ -6,12 +6,11 @@
 // cache instead of simulated (result_cache.h); traced specs
 // (trace_interval > 0) always simulate, since traces are not cached.
 //
-// Supervision (supervisor.h, manifest.h): per-cell budgets (wall-clock
-// watchdog, simulated-event ceiling, estimated-RSS ceiling), failure
-// isolation (a failing cell becomes a CellFailure in its outcome instead
-// of aborting the sweep), bounded deterministic retry for transient
-// failure classes, and a resumable on-disk manifest (resume_dir) whose
-// journal lets an interrupted sweep skip every completed cell and still
+// Each cell runs through run_supervised_cell (supervisor.h): per-cell
+// budgets, failure isolation (a failing cell becomes a CellFailure in its
+// outcome instead of aborting the sweep) and bounded deterministic retry
+// for transient failure classes. A resumable on-disk manifest (resume_dir,
+// manifest.h) lets an interrupted sweep skip every completed cell and still
 // produce byte-identical results. fail_fast restores the legacy contract:
 // abort on the first failure and rethrow it after all workers stop.
 #pragma once
@@ -41,17 +40,8 @@ struct SweepOptions {
   // Cache-key salt; defaults to the library's code-version salt.
   std::string cache_salt = std::string(kSweepCodeSalt);
 
-  // ---- supervision (budgets all off by default) -----------------------
-  // Wall-clock watchdog per cell attempt; zero disables.
-  TimeDelta cell_timeout = TimeDelta::zero();
-  // Simulated-event ceiling per cell attempt; 0 disables.
-  uint64_t max_cell_events = 0;
-  // Estimated-peak-RSS ceiling per cell attempt, bytes; 0 disables.
-  int64_t max_cell_rss_bytes = 0;
-  // Retries for transient failure classes (cache/manifest I/O); each
-  // retry backs off deterministically (supervisor.h). Deterministic
-  // classes never retry regardless.
-  int retries = 2;
+  // Per-cell budgets and the transient retry bound (supervisor.h).
+  CellSupervision supervision;
   // Abort the sweep (skip unclaimed cells) after this many terminal cell
   // failures; 0 = never abort, run everything.
   int max_failures = 0;
@@ -67,11 +57,6 @@ struct SweepOptions {
   // emission is off.
   std::string quarantine_dir;
 };
-
-// Reads CCAS_JOBS, CCAS_CACHE_DIR and CCAS_NO_CACHE into a SweepOptions
-// (the environment interface of ccas_figures and ccas_run; flags override
-// on top).
-[[nodiscard]] SweepOptions sweep_options_from_env();
 
 enum class CellStatus {
   kOk,       // result is valid (simulated, cached, or resumed)

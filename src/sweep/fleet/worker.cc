@@ -7,15 +7,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
-#include "src/check/audit.h"
-#include "src/harness/runner.h"
-#include "src/sim/budget.h"
 #include "src/sweep/spec_hash.h"
 #include "src/sweep/wire.h"
 #include "src/util/logging.h"
@@ -23,15 +22,6 @@
 namespace ccas::sweep::fleet {
 
 namespace {
-
-FailureClass budget_failure_class(BudgetExceeded::Kind kind) {
-  switch (kind) {
-    case BudgetExceeded::Kind::kWallClock: return FailureClass::kBudgetWall;
-    case BudgetExceeded::Kind::kSimEvents: return FailureClass::kBudgetEvents;
-    case BudgetExceeded::Kind::kRssEstimate: return FailureClass::kBudgetRss;
-  }
-  return FailureClass::kException;
-}
 
 // Renews the lease every `interval_ms` on a background thread for as long
 // as the guarded compute runs. A renewal that finds the lease reclaimed
@@ -81,13 +71,6 @@ class Heartbeat {
   std::thread thread_;
 };
 
-struct CellWorkStats {
-  bool committed = false;
-  bool ok = false;       // committed a success (vs a failure record)
-  bool lost = false;
-  bool adopted = false;  // committed from a found results-store entry
-};
-
 }  // namespace
 
 FleetWorker::FleetWorker(FleetOptions options) : options_(std::move(options)) {
@@ -133,121 +116,65 @@ FleetSummary FleetWorker::run(const SweepSpec& sweep) {
   // failures we committed ourselves (no point re-running our own work).
   std::unordered_set<uint64_t> handled;
 
+  auto note = [&](const SweepCell& cell, const std::string& what) {
+    if (!options_.progress) return;
+    std::fprintf(stderr, "[ccas_fleet %s] cell %s: %s\n", options_.worker_id.c_str(),
+                 cell.name.c_str(), what.c_str());
+  };
+  // Computes and commits one leased cell; false if the lease was lost and
+  // nothing was committed.
   auto work_cell = [&](const JobCell& jcell, const SweepCell& cell,
-                       const Lease& lease) -> CellWorkStats {
-    CellWorkStats stats;
+                       const Lease& lease) {
     std::atomic<bool> cancelled{false};
     std::atomic<bool> lost{false};
     Heartbeat heartbeat(leases, lease, options_.heartbeat_ms, &lost,
                         &cancelled);
 
-    std::optional<CellFailure> failure;
-    std::optional<InjectedFault> injected;
-    ExperimentResult result;
-    bool adopted = false;
-    int attempt = 0;
-    for (;;) {
-      ++attempt;
-      failure.reset();
-      try {
-        adopted = false;
-        if (auto cached = store.results().load(jcell.spec_hash)) {
-          // Another worker stored this result but died before journaling
-          // it (the commit order is store-then-journal): adopt it rather
-          // than recompute — identical bytes either way.
-          result = std::move(*cached);
-          adopted = true;
-        } else {
-          SimBudget budget;
-          budget.cancel = &cancelled;  // heartbeat loss and watchdog share it
-          budget.max_events = options_.max_cell_events;
-          budget.max_rss_bytes = options_.max_cell_rss_bytes;
-          CellWatchdog watchdog(options_.cell_timeout, &cancelled);
-          if (!faults.empty()) {
-            if (auto f = faults.next(cell.name)) {
-              injected = f;
-              execute_injected_fault(*f, &cancelled);
-            }
-          }
-          result = run_experiment(cell.spec, &budget);
-          if (!store.results().store(jcell.spec_hash, result)) {
-            throw CacheIoError("fleet: cannot store result for " +
-                               cache_key_hex(jcell.spec_hash) + " under " +
-                               store.manifest().results_dir());
-          }
-        }
-      } catch (const BudgetExceeded& e) {
-        failure = CellFailure{cell.name, budget_failure_class(e.kind()),
-                              e.what(), jcell.spec_hash, attempt};
-      } catch (const check::AuditViolationError& e) {
-        failure = CellFailure{cell.name, FailureClass::kAuditViolation,
-                              e.what(), jcell.spec_hash, attempt};
-      } catch (const CacheIoError& e) {
-        failure = CellFailure{cell.name, FailureClass::kCacheIo, e.what(),
-                              jcell.spec_hash, attempt};
-      } catch (const std::exception& e) {
-        failure = CellFailure{cell.name, FailureClass::kException, e.what(),
-                              jcell.spec_hash, attempt};
+    // A stored result is adopted: another worker stored it but died before
+    // journaling it (the commit order is store-then-journal), and the bytes
+    // are identical either way. A computed result must be stored before the
+    // journal may name it.
+    auto lookup = [&] { return store.results().load(jcell.spec_hash); };
+    auto persist = [&](const ExperimentResult& result, bool hit, int /*attempt*/) {
+      if (!hit && !store.results().store(jcell.spec_hash, result)) {
+        throw CacheIoError("fleet: cannot store result for " +
+                           cache_key_hex(jcell.spec_hash) + " under " +
+                           store.manifest().results_dir());
       }
-      if (lost.load(std::memory_order_relaxed)) break;
-      if (!failure) break;
-      if (failure_is_transient(failure->cls) && attempt <= options_.retries) {
-        std::this_thread::sleep_for(
-            std::chrono::nanoseconds(retry_backoff(attempt).ns()));
-        continue;
-      }
-      break;
-    }
+    };
+    // The heartbeat's loss and the watchdog share one cancel token.
+    const SupervisedCell run = run_supervised_cell(
+        cell, jcell.spec_hash, options_.supervision, faults,
+        {std::ref(lookup), std::ref(persist), {}}, &cancelled, &lost);
     heartbeat.stop();
 
     // The fencing check: commit only while the on-disk lease still equals
     // the handle we claimed. A worker resurrected after its TTL finds a
     // different (worker, fence) pair — or no lease — and walks away.
     if (lost.load(std::memory_order_relaxed) || !leases.still_held(lease)) {
-      stats.lost = true;
-      if (options_.progress) {
-        std::fprintf(stderr, "[ccas_fleet %s] cell %s: lease lost, abandoned\n",
-                     options_.worker_id.c_str(), cell.name.c_str());
-      }
-      return stats;
+      ++summary.lost_leases;
+      note(cell, "lease lost, abandoned");
+      return false;
     }
 
-    if (!failure) {
-      store.manifest().record_ok(jcell.spec_hash, attempt,
-                                 fnv1a64(serialize_result(result)),
+    if (!run.failure) {
+      store.manifest().record_ok(jcell.spec_hash, run.attempts,
+                                 fnv1a64(serialize_result(run.result)),
                                  options_.worker_id, lease.fence);
-      stats.committed = true;
-      stats.ok = true;
-      stats.adopted = adopted;
-      if (options_.progress) {
-        std::fprintf(stderr, "[ccas_fleet %s] cell %s: ok%s\n",
-                     options_.worker_id.c_str(), cell.name.c_str(),
-                     adopted ? " (adopted from results store)" : "");
-      }
+      ++(run.hit ? summary.adopted : summary.computed);
+      note(cell, run.hit ? "ok (adopted from results store)" : "ok");
     } else {
       try {
-        store.manifest().record_failure(*failure, options_.worker_id);
+        store.manifest().record_failure(*run.failure, options_.worker_id);
       } catch (const std::exception& e) {
         log_warn("fleet manifest: %s", e.what());
       }
-      QuarantineContext ctx;
-      ctx.cell_timeout = options_.cell_timeout;
-      ctx.max_cell_events = options_.max_cell_events;
-      ctx.max_cell_rss_bytes = options_.max_cell_rss_bytes;
-      if (injected) {
-        ctx.injection_env = "seed=" + std::to_string(cell.spec.seed) + ":" +
-                            injected_fault_name(*injected);
-      }
-      (void)write_quarantine_file(store.quarantine_dir(), cell, *failure, ctx);
-      stats.committed = true;
-      if (options_.progress) {
-        std::fprintf(stderr, "[ccas_fleet %s] cell %s: FAILED [%s]\n",
-                     options_.worker_id.c_str(), cell.name.c_str(),
-                     failure_class_name(failure->cls));
-      }
+      (void)write_quarantine_file(store.quarantine_dir(), cell, *run.failure,
+                                  options_.supervision, run.injected);
+      note(cell, std::string("FAILED [") + failure_class_name(run.failure->cls) + "]");
     }
     leases.release(lease);
-    return stats;
+    return true;
   };
 
   uint64_t last_progress_ms = leases.now_ms();
@@ -270,14 +197,7 @@ FleetSummary FleetWorker::run(const SweepSpec& sweep) {
       if (!lease) continue;
       if (rec) ++summary.reattempts;
       handled.insert(jcell.spec_hash);
-      const CellWorkStats stats =
-          work_cell(jcell, sweep.cells[i], *lease);
-      if (stats.committed) {
-        progressed = true;
-        if (stats.adopted) ++summary.adopted;
-        else if (stats.ok) ++summary.computed;
-      }
-      if (stats.lost) ++summary.lost_leases;
+      if (work_cell(jcell, sweep.cells[i], *lease)) progressed = true;
     }
 
     store.manifest().reload();
@@ -360,29 +280,13 @@ std::string render_fleet_report(FleetStore& store) {
 }
 
 int fleet_exit_code(FleetStore& store) {
-  bool any_pending = false;
-  bool any_deterministic = false;
-  bool any_budget = false;
-  bool any_transient = false;
+  std::vector<FailureClass> failures;
   for (const JobCell& jcell : store.grid()) {
     const auto rec = store.manifest().lookup(jcell.spec_hash);
-    if (!rec) {
-      any_pending = true;
-    } else if (rec->ok) {
-      continue;
-    } else if (failure_is_budget(rec->cls)) {
-      any_budget = true;
-    } else if (failure_is_transient(rec->cls)) {
-      any_transient = true;
-    } else {
-      any_deterministic = true;
-    }
+    if (!rec) return 5;  // an incomplete job outranks every failure class
+    if (!rec->ok) failures.push_back(rec->cls);
   }
-  if (any_pending) return 5;
-  if (any_deterministic) return 2;
-  if (any_budget) return 3;
-  if (any_transient) return 4;
-  return 0;
+  return failure_exit_code(failures);
 }
 
 }  // namespace ccas::sweep::fleet

@@ -5,13 +5,13 @@
 // Per pass over the grid, a worker tries to lease every cell the
 // manifest does not yet cover (plus — once per worker per cell — cells
 // with a journaled failure, mirroring how a single-process --resume
-// retries journaled failures). A claimed cell is computed under the same
-// supervision the thread-pool executor applies (budgets, wall-clock
-// watchdog, fault injection, bounded deterministic retry for transient
-// classes) while a heartbeat thread renews the lease every heartbeat
-// interval; a renewal that discovers the lease was reclaimed cancels the
-// in-flight simulation cooperatively and the cell is abandoned without a
-// journal entry — its new holder owns the commit. Before committing, the
+// retries journaled failures). A claimed cell is computed by
+// run_supervised_cell (supervisor.h: budgets, wall-clock watchdog, fault
+// injection, bounded deterministic retry for transient classes) while a
+// heartbeat thread renews the lease every heartbeat interval; a renewal
+// that discovers the lease was reclaimed cancels the in-flight simulation
+// cooperatively and the cell is abandoned without a journal entry — its
+// new holder owns the commit. Before committing, the
 // worker re-checks lease possession (the fencing-token equality check in
 // lease.h): a worker resurrected after a stall never double-commits over
 // its cell's new holder. The commit order is results-store first, journal
@@ -51,11 +51,8 @@ struct FleetOptions {
   uint64_t stall_timeout_ms = 0;
   std::string cache_salt = std::string(kSweepCodeSalt);
 
-  // Supervision, mirroring SweepOptions (executor.h).
-  TimeDelta cell_timeout = TimeDelta::zero();
-  uint64_t max_cell_events = 0;
-  int64_t max_cell_rss_bytes = 0;
-  int retries = 2;
+  // Per-cell budgets and the transient retry bound (supervisor.h).
+  CellSupervision supervision;
   bool progress = true;
 
   // Injectable for lease-lifecycle tests; {} = wall clock.
@@ -102,9 +99,9 @@ class FleetWorker {
 // attempt counts are deliberately excluded so every renderer agrees.
 [[nodiscard]] std::string render_fleet_report(FleetStore& store);
 
-// Exit code for the store's current state (reload before calling):
-// 0 all ok, 2 deterministic failures, 3 budget, 4 transient-exhausted,
-// 5 uncovered cells remain. Precedence: 5 > 2 > 3 > 4.
+// Exit code for the store's current state (reload before calling): 5
+// while any grid cell is uncovered, else failure_exit_code (supervisor.h)
+// of the journaled failures — 0 all ok, then 2 > 3 > 4.
 [[nodiscard]] int fleet_exit_code(FleetStore& store);
 
 }  // namespace ccas::sweep::fleet

@@ -1,5 +1,6 @@
 #include "src/sweep/supervisor.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -8,6 +9,7 @@
 
 #include "src/check/audit.h"
 #include "src/harness/cli.h"
+#include "src/harness/runner.h"
 #include "src/sim/budget.h"
 #include "src/sweep/spec_hash.h"
 #include "src/util/logging.h"
@@ -18,6 +20,15 @@ namespace {
 
 std::chrono::nanoseconds to_chrono(TimeDelta d) {
   return std::chrono::nanoseconds(d.ns());
+}
+
+FailureClass budget_failure_class(BudgetExceeded::Kind kind) {
+  switch (kind) {
+    case BudgetExceeded::Kind::kWallClock: return FailureClass::kBudgetWall;
+    case BudgetExceeded::Kind::kSimEvents: return FailureClass::kBudgetEvents;
+    case BudgetExceeded::Kind::kRssEstimate: return FailureClass::kBudgetRss;
+  }
+  return FailureClass::kException;
 }
 
 }  // namespace
@@ -57,12 +68,18 @@ bool failure_is_budget(FailureClass cls) {
          cls == FailureClass::kBudgetRss;
 }
 
+int failure_exit_code(const std::vector<FailureClass>& classes) {
+  // The codes rank in numeric order: the smallest nonzero one wins.
+  int code = 0;
+  for (const FailureClass cls : classes) {
+    const int c = failure_is_budget(cls) ? 3 : failure_is_transient(cls) ? 4 : 2;
+    if (code == 0 || c < code) code = c;
+  }
+  return code;
+}
+
 TimeDelta retry_backoff(int attempt) {
-  if (attempt < 1) attempt = 1;
-  const int shift = attempt - 1 > 4 ? 4 : attempt - 1;
-  TimeDelta d = TimeDelta::millis(10LL << shift);
-  const TimeDelta cap = TimeDelta::millis(200);
-  return d < cap ? d : cap;
+  return TimeDelta::millis(10LL << (std::clamp(attempt, 1, 5) - 1));
 }
 
 // ---- wall-clock watchdog -------------------------------------------------
@@ -221,11 +238,76 @@ void execute_injected_fault(InjectedFault fault, const std::atomic<bool>* cancel
   }
 }
 
+// ---- the supervised cell attempt -----------------------------------------
+
+SupervisedCell run_supervised_cell(const SweepCell& cell, uint64_t spec_hash,
+                                   const CellSupervision& sup, FaultPlan& faults,
+                                   const CellAttemptHooks& hooks,
+                                   std::atomic<bool>* cancel,
+                                   const std::atomic<bool>* stop) {
+  SupervisedCell out;
+  for (;;) {
+    ++out.attempts;
+    out.failure.reset();
+    out.error = nullptr;
+    auto fail = [&](FailureClass cls, const std::exception& e) {
+      out.error = std::current_exception();
+      out.failure = CellFailure{cell.name, cls, e.what(), spec_hash, out.attempts};
+    };
+    try {
+      if (!out.hit) {
+        if (auto stored = hooks.lookup()) {
+          out.result = std::move(*stored);
+          out.hit = true;
+        }
+      }
+      if (!out.hit) {
+        // Budget scope: the attempt's token and watchdog live exactly as
+        // long as this simulation; the watchdog joins (in its destructor)
+        // before the token leaves scope.
+        std::atomic<bool> own_cancel{false};
+        std::atomic<bool>* token = cancel;
+        if (!token && sup.cell_timeout > TimeDelta::zero()) token = &own_cancel;
+        SimBudget budget;
+        budget.cancel = token;
+        budget.max_events = sup.max_cell_events;
+        budget.max_rss_bytes = sup.max_cell_rss_bytes;
+        CellWatchdog watchdog(sup.cell_timeout, token);
+        if (!faults.empty()) {
+          if (auto f = faults.next(cell.name)) {
+            out.injected = f;
+            execute_injected_fault(*f, token);
+          }
+        }
+        out.result = run_experiment(cell.spec, budget.any() ? &budget : nullptr);
+      }
+      hooks.persist(out.result, out.hit, out.attempts);
+    } catch (const BudgetExceeded& e) {
+      fail(budget_failure_class(e.kind()), e);
+    } catch (const check::AuditViolationError& e) {
+      fail(FailureClass::kAuditViolation, e);
+    } catch (const CacheIoError& e) {
+      fail(FailureClass::kCacheIo, e);
+    } catch (const std::exception& e) {
+      fail(FailureClass::kException, e);
+    }
+    const bool retry = out.failure && failure_is_transient(out.failure->cls) &&
+                       out.attempts <= sup.retries &&
+                       !(stop != nullptr && stop->load(std::memory_order_relaxed));
+    if (!retry) break;
+    if (hooks.on_retry) hooks.on_retry(*out.failure);
+    std::this_thread::sleep_for(to_chrono(retry_backoff(out.attempts)));
+  }
+  if (out.failure) out.result = ExperimentResult{};
+  return out;
+}
+
 // ---- quarantine (minimal repro) ------------------------------------------
 
 std::string write_quarantine_file(const std::string& dir, const SweepCell& cell,
                                   const CellFailure& failure,
-                                  const QuarantineContext& ctx) {
+                                  const CellSupervision& sup,
+                                  std::optional<InjectedFault> injected) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec && !std::filesystem::is_directory(dir)) {
@@ -237,25 +319,28 @@ std::string write_quarantine_file(const std::string& dir, const SweepCell& cell,
 
   const SpecCliRendering cli = spec_to_cli(cell.spec);
   std::string replay;
-  if (!ctx.injection_env.empty()) {
-    replay += "CCAS_FAIL_CELL='" + ctx.injection_env + "' ";
+  if (injected) {
+    // Single-cell replays through ccas_run name their cell "seed=<n>", so
+    // the injection env is rewritten to match.
+    replay += "CCAS_FAIL_CELL='seed=" + std::to_string(cell.spec.seed) + ":" +
+              injected_fault_name(*injected) + "' ";
   }
   replay += "ccas_run";
   for (const std::string& arg : cli.args) replay += " " + arg;
   // Budget flags so budget-class failures replay with the same ceilings.
   char buf[64];
-  if (ctx.cell_timeout > TimeDelta::zero()) {
-    std::snprintf(buf, sizeof(buf), " --cell-timeout=%.17g", ctx.cell_timeout.sec());
+  if (sup.cell_timeout > TimeDelta::zero()) {
+    std::snprintf(buf, sizeof(buf), " --cell-timeout=%.17g", sup.cell_timeout.sec());
     replay += buf;
   }
-  if (ctx.max_cell_events != 0) {
+  if (sup.max_cell_events != 0) {
     std::snprintf(buf, sizeof(buf), " --cell-events=%llu",
-                  static_cast<unsigned long long>(ctx.max_cell_events));
+                  static_cast<unsigned long long>(sup.max_cell_events));
     replay += buf;
   }
-  if (ctx.max_cell_rss_bytes > 0) {
+  if (sup.max_cell_rss_bytes > 0) {
     std::snprintf(buf, sizeof(buf), " --cell-rss=%.17g",
-                  static_cast<double>(ctx.max_cell_rss_bytes) / 1e6);
+                  static_cast<double>(sup.max_cell_rss_bytes) / 1e6);
     replay += buf;
   }
 

@@ -1,6 +1,8 @@
-// Cell supervision for the sweep executor: failure taxonomy, deterministic
+// Cell supervision for both cell runners, the sweep executor (executor.h)
+// and the fleet worker (fleet/worker.h): failure taxonomy, deterministic
 // retry/backoff, the per-cell wall-clock watchdog, test-only fault
-// injection, and minimal-repro (quarantine) emission.
+// injection, the one supervised cell attempt loop (run_supervised_cell)
+// and minimal-repro (quarantine) emission.
 //
 // The supervision contract (DESIGN.md §9):
 //
@@ -21,6 +23,8 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -65,6 +69,11 @@ struct CellFailure {
   int attempts = 1;                           // attempts consumed (>= 1)
 };
 
+// The exit code of a run whose terminal failures have these classes
+// (tools/EXIT_CODES.md): 0 for none, else the most actionable kind wins —
+// deterministic (2) over budget (3) over transient-exhausted (4).
+[[nodiscard]] int failure_exit_code(const std::vector<FailureClass>& classes);
+
 // Thrown by supervised cache/manifest writes whose failure must not be
 // silently swallowed (resume integrity depends on them); classified as
 // the transient kCacheIo and retried.
@@ -74,8 +83,9 @@ class CacheIoError : public std::runtime_error {
 };
 
 // Deterministic exponential backoff before retry `attempt` (1-based count
-// of attempts already made): 10ms, 20ms, 40ms, ... capped at 200ms. No
-// jitter — supervised sweeps must be reproducible end to end.
+// of attempts already made): 10ms, 20ms, 40ms, 80ms, then 160ms for every
+// later retry. No jitter — supervised sweeps must be reproducible end to
+// end.
 [[nodiscard]] TimeDelta retry_backoff(int attempt);
 
 // ---- wall-clock watchdog -------------------------------------------------
@@ -145,26 +155,75 @@ class FaultPlan {
 // run forever.
 void execute_injected_fault(InjectedFault fault, const std::atomic<bool>* cancel);
 
-// ---- quarantine (minimal repro) ------------------------------------------
+// ---- the supervised cell attempt -----------------------------------------
 
-struct QuarantineContext {
+// Per-cell budgets (all off by default) and the transient retry bound,
+// shared by SweepOptions (executor.h) and FleetOptions (fleet/worker.h).
+struct CellSupervision {
+  // Wall-clock watchdog per cell attempt; zero disables.
   TimeDelta cell_timeout = TimeDelta::zero();
+  // Simulated-event ceiling per cell attempt; 0 disables.
   uint64_t max_cell_events = 0;
+  // Estimated-peak-RSS ceiling per cell attempt, bytes; 0 disables.
   int64_t max_cell_rss_bytes = 0;
-  // CCAS_FAIL_CELL value reproducing an injected failure (empty = the
-  // failure was organic and needs no env prefix).
-  std::string injection_env;
+  // Retries for transient failure classes (cache/manifest I/O), each after
+  // retry_backoff. Deterministic classes never retry regardless.
+  int retries = 2;
 };
+
+// What the callers of run_supervised_cell do differently. They pass their
+// callables through std::ref, which std::function holds without allocating.
+struct CellAttemptHooks {
+  // A stored result for the cell (a cache hit, or a result another worker
+  // stored), or nullopt to simulate it. Asked before each attempt until it
+  // hits.
+  std::function<std::optional<ExperimentResult>()> lookup;
+  // Persists an attempt's result (`hit`: it came from lookup). Throws
+  // CacheIoError when a write the caller cannot lose fails; the attempt
+  // then fails as kCacheIo and is retried.
+  std::function<void(const ExperimentResult& result, bool hit, int attempt)> persist;
+  // Called before the backoff of each retry, if set.
+  std::function<void(const CellFailure& failure)> on_retry;
+};
+
+struct SupervisedCell {
+  ExperimentResult result;  // empty when failure is set
+  bool hit = false;         // result came from CellAttemptHooks::lookup
+  int attempts = 0;
+  std::optional<CellFailure> failure;     // the terminal failure
+  std::exception_ptr error;               // its original exception
+  std::optional<InjectedFault> injected;  // last fault injected, for .repro
+};
+
+// Runs attempts of `cell` until one succeeds, one fails with a
+// non-transient class, transient failures outlast sup.retries, or `*stop`
+// is set. An attempt whose lookup misses consumes one CCAS_FAIL_CELL
+// injection and simulates under sup's budgets with a CellWatchdog armed;
+// every attempt then persists. Exceptions become CellFailures; the
+// transient ones retry after retry_backoff.
+//
+// `cancel` is an external token the watchdog shares and every simulation
+// polls (the fleet heartbeat sets it on lease loss). Without one, each
+// attempt gets its own token, and an attempt with no budget at all runs
+// unbudgeted (run_experiment gets nullptr).
+[[nodiscard]] SupervisedCell run_supervised_cell(
+    const SweepCell& cell, uint64_t spec_hash, const CellSupervision& sup,
+    FaultPlan& faults, const CellAttemptHooks& hooks, std::atomic<bool>* cancel = nullptr,
+    const std::atomic<bool>* stop = nullptr);
+
+// ---- quarantine (minimal repro) ------------------------------------------
 
 // Writes <dir>/<16-hex spec hash>.repro: a commented header (cell, class,
 // attempts, error) plus the exact `ccas_run` command line (seed, spec
-// flags, budget flags, injection env) that replays the failing cell as a
-// one-cell sweep. Creates `dir` if missing; returns the path, or "" if
-// the file could not be written (quarantine is best-effort: it must
-// never mask the failure it documents).
+// flags, sup's budget flags, and the CCAS_FAIL_CELL env for an `injected`
+// failure) that replays the failing cell as a one-cell sweep. Creates
+// `dir` if missing; returns the path, or "" if the file could not be
+// written (quarantine is best-effort: it must never mask the failure it
+// documents).
 [[nodiscard]] std::string write_quarantine_file(const std::string& dir,
                                                 const SweepCell& cell,
                                                 const CellFailure& failure,
-                                                const QuarantineContext& ctx);
+                                                const CellSupervision& sup,
+                                                std::optional<InjectedFault> injected);
 
 }  // namespace ccas::sweep

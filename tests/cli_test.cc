@@ -151,8 +151,39 @@ TEST(Cli, NoCacheEnvTakesPrecedenceOverCacheDirFlag) {
   EXPECT_TRUE(parse_cli({"--groups=cubic:1:20", "--cache-dir=d"}).sweep.use_cache);
   setenv("CCAS_NO_CACHE", "", 1);
   EXPECT_TRUE(parse_cli({"--groups=cubic:1:20", "--cache-dir=d"}).sweep.use_cache);
+  // Anything but 0 or 1 is refused, as --no-cache=false is: "false" used
+  // to switch the cache off.
+  for (const char* bad : {"false", "true", "2", "yes", " 1", "01"}) {
+    setenv("CCAS_NO_CACHE", bad, 1);
+    EXPECT_THROW(parse_cli({"--groups=cubic:1:20"}), std::invalid_argument) << bad;
+    EXPECT_THROW(parse_figures_cli({"--figure=f"}, {"f"}), std::invalid_argument)
+        << bad;
+  }
   unsetenv("CCAS_NO_CACHE");
   EXPECT_TRUE(parse_cli({"--groups=cubic:1:20", "--cache-dir=d"}).sweep.use_cache);
+}
+
+TEST(Cli, JobsEnvIsAsStrictAsTheFlag) {
+  setenv("CCAS_JOBS", "3", 1);
+  EXPECT_EQ(parse_cli({"--groups=cubic:1:20"}).sweep.jobs, 3);
+  EXPECT_EQ(parse_figures_cli({"--figure=f"}, {"f"}).sweep.jobs, 3);
+  // An explicit flag wins over the environment default.
+  EXPECT_EQ(parse_cli({"--groups=cubic:1:20", "--jobs=2"}).sweep.jobs, 2);
+  // "3x" used to run 3 workers and "abc" all cores.
+  for (const char* bad : {"3x", "abc", "0", "-1", "2.5", "1e2"}) {
+    setenv("CCAS_JOBS", bad, 1);
+    EXPECT_THROW(parse_cli({"--groups=cubic:1:20"}), std::invalid_argument) << bad;
+    EXPECT_THROW(parse_fleet_cli({"--fleet-dir=d", "--groups=cubic:1:20"}),
+                 std::invalid_argument)
+        << bad;
+    EXPECT_THROW(parse_figures_cli({"--figure=f"}, {"f"}), std::invalid_argument)
+        << bad;
+  }
+  // Empty means "not set".
+  setenv("CCAS_JOBS", "", 1);
+  EXPECT_EQ(parse_cli({"--groups=cubic:1:20"}).sweep.jobs, 0);
+  unsetenv("CCAS_JOBS");
+  EXPECT_EQ(parse_cli({"--groups=cubic:1:20"}).sweep.jobs, 0);
 }
 
 TEST(Cli, UsageMentionsEveryCca) {
@@ -280,10 +311,10 @@ TEST(Cli, ParsesSupervisionFlags) {
       {"--groups=newreno:1:20", "--cell-timeout=30", "--cell-events=1000000",
        "--cell-rss=512", "--retries=5", "--max-failures=3",
        "--resume=run1", "--quarantine=quar"});
-  EXPECT_EQ(o.sweep.cell_timeout, TimeDelta::seconds(30));
-  EXPECT_EQ(o.sweep.max_cell_events, 1'000'000u);
-  EXPECT_EQ(o.sweep.max_cell_rss_bytes, 512'000'000);
-  EXPECT_EQ(o.sweep.retries, 5);
+  EXPECT_EQ(o.sweep.supervision.cell_timeout, TimeDelta::seconds(30));
+  EXPECT_EQ(o.sweep.supervision.max_cell_events, 1'000'000u);
+  EXPECT_EQ(o.sweep.supervision.max_cell_rss_bytes, 512'000'000);
+  EXPECT_EQ(o.sweep.supervision.retries, 5);
   EXPECT_EQ(o.sweep.max_failures, 3);
   EXPECT_EQ(o.sweep.resume_dir, "run1");
   EXPECT_EQ(o.sweep.quarantine_dir, "quar");
@@ -292,10 +323,10 @@ TEST(Cli, ParsesSupervisionFlags) {
 
 TEST(Cli, SupervisionDefaultsAreIsolationWithTwoRetries) {
   const CliOptions o = parse_cli({"--groups=newreno:1:20"});
-  EXPECT_EQ(o.sweep.cell_timeout, TimeDelta::zero());
-  EXPECT_EQ(o.sweep.max_cell_events, 0u);
-  EXPECT_EQ(o.sweep.max_cell_rss_bytes, 0);
-  EXPECT_EQ(o.sweep.retries, 2);
+  EXPECT_EQ(o.sweep.supervision.cell_timeout, TimeDelta::zero());
+  EXPECT_EQ(o.sweep.supervision.max_cell_events, 0u);
+  EXPECT_EQ(o.sweep.supervision.max_cell_rss_bytes, 0);
+  EXPECT_EQ(o.sweep.supervision.retries, 2);
   EXPECT_EQ(o.sweep.max_failures, 0);
   EXPECT_FALSE(o.sweep.fail_fast);
 }
@@ -324,8 +355,8 @@ TEST(Cli, RetriesMustBeInRange) {
                std::invalid_argument);
   EXPECT_THROW(parse_cli({"--groups=cubic:1:20", "--retries=17"}),
                std::invalid_argument);
-  EXPECT_EQ(parse_cli({"--groups=cubic:1:20", "--retries=0"}).sweep.retries, 0);
-  EXPECT_EQ(parse_cli({"--groups=cubic:1:20", "--retries=16"}).sweep.retries,
+  EXPECT_EQ(parse_cli({"--groups=cubic:1:20", "--retries=0"}).sweep.supervision.retries, 0);
+  EXPECT_EQ(parse_cli({"--groups=cubic:1:20", "--retries=16"}).sweep.supervision.retries,
             16);
 }
 
@@ -778,8 +809,11 @@ TEST(FleetCli, RejectsMissingOrMalformedFleetFlags) {
 TEST(FleetCli, RejectsGridFlagsThatCannotDescribeAFleetJob) {
   const std::vector<std::string> base = {"--fleet-dir=d",
                                          "--groups=newreno:1:20"};
-  for (const char* bad : {"--trace=0.5", "--csv=out", "--resume=r",
-                          "--quarantine=q", "--fail-fast"}) {
+  // --jobs, --cache-dir, --no-cache, --max-failures and --perf used to be
+  // accepted and silently ignored.
+  for (const char* bad : {"--trace=0.5", "--csv=out", "--resume=r", "--quarantine=q",
+                          "--fail-fast", "--jobs=8", "--cache-dir=c", "--no-cache",
+                          "--max-failures=1", "--perf"}) {
     std::vector<std::string> args = base;
     args.emplace_back(bad);
     EXPECT_THROW(parse_fleet_cli(args), std::invalid_argument) << bad;

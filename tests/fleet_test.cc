@@ -5,9 +5,10 @@
 // multi-writer manifest semantics (duplicate digests, determinism
 // violations, reload), concurrent ResultCache writers, the worker's
 // claim → compute → commit loop (adoption, re-attempts, quarantine,
-// stall timeout), N-worker byte-identity against a serial sweep, and a
-// randomized kill/resume property test that must converge to the same
-// manifest bytes as a single worker.
+// stall timeout), supervision parity with the sweep executor under every
+// injected failure class, N-worker byte-identity against a serial sweep,
+// and a randomized kill/resume property test that must converge to the
+// same manifest bytes as a single worker.
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -640,6 +641,80 @@ TEST(FleetWorker, JournalsFailuresQuarantinesAndReattemptsOncePerWorker) {
   EXPECT_EQ(second.exit_code, 0);
   SweepManifest manifest(dir.str(), kSalt);
   EXPECT_TRUE(manifest.lookup(hash)->ok);
+}
+
+TEST(FleetWorker, SupervisionMatchesExecutor) {
+  // Both runners attempt cells through one supervised loop, so for every
+  // injected failure class the executor and a fleet worker agree on each
+  // cell's class, attempts and message, store the same result bytes for
+  // ok cells, write byte-identical .repro files and exit with one code.
+  struct Case {
+    const char* inject;
+    int exit_code;
+    TimeDelta cell_timeout = TimeDelta::zero();
+  };
+  const Case cases[] = {
+      {"seed=2:throw", 2},
+      {"seed=2:audit", 2},
+      {"seed=2:events", 3},
+      {"seed=2:rss", 3},
+      {"seed=2:hang", 3, TimeDelta::millis(100)},
+      {"seed=2:cacheio:2", 0},  // retries=2 absorb two transient faults
+      {"seed=2:cacheio:3", 4},  // the third outlasts them
+  };
+  const SweepSpec sweep = tiny_sweep(3);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.inject);
+    ScopedEnv env("CCAS_FAIL_CELL", c.inject);
+    CellSupervision supervision;
+    supervision.retries = 2;
+    supervision.cell_timeout = c.cell_timeout;
+
+    TempDir quarantine("parity_quarantine");
+    SweepOptions serial;
+    serial.jobs = 1;
+    serial.progress = false;
+    serial.supervision = supervision;
+    serial.quarantine_dir = quarantine.str();
+    SweepExecutor executor(serial);
+    const std::vector<CellOutcome> outcomes = executor.run(sweep);
+
+    TempDir dir("parity_fleet");
+    FleetOptions opts = quiet_fleet(dir.str(), "w");
+    opts.supervision = supervision;
+    const FleetSummary summary = FleetWorker(opts).run(sweep);
+    ASSERT_TRUE(summary.complete);
+
+    SweepManifest manifest(dir.str(), kSalt);
+    ResultCache fleet_results(dir.str() + "/results");
+    std::vector<FailureClass> classes;
+    for (const CellOutcome& out : outcomes) {
+      SCOPED_TRACE(out.name);
+      const auto rec = manifest.lookup(out.cache_key);
+      ASSERT_TRUE(rec.has_value());
+      ASSERT_EQ(rec->ok, out.status == CellStatus::kOk);
+      EXPECT_EQ(rec->attempts, out.attempts);
+      const std::string repro = "/" + cache_key_hex(out.cache_key) + ".repro";
+      if (rec->ok) {
+        const auto stored = fleet_results.load(out.cache_key);
+        ASSERT_TRUE(stored.has_value());
+        EXPECT_EQ(serialize_result(*stored), serialize_result(out.result));
+        EXPECT_FALSE(fs::exists(quarantine.str() + repro));
+        EXPECT_FALSE(fs::exists(dir.str() + "/quarantine" + repro));
+        continue;
+      }
+      ASSERT_EQ(out.status, CellStatus::kFailed);
+      classes.push_back(out.failure->cls);
+      EXPECT_EQ(rec->cls, out.failure->cls);
+      EXPECT_EQ(out.failure->attempts, out.attempts);
+      EXPECT_EQ(rec->what, out.failure->what);
+      const std::string executor_repro = read_file(quarantine.str() + repro);
+      EXPECT_NE(executor_repro.find("CCAS_FAIL_CELL="), std::string::npos);
+      EXPECT_EQ(read_file(dir.str() + "/quarantine" + repro), executor_repro);
+    }
+    EXPECT_EQ(failure_exit_code(classes), c.exit_code);
+    EXPECT_EQ(summary.exit_code, c.exit_code);
+  }
 }
 
 TEST(FleetWorker, StallTimeoutExitsIncompleteWhenACellIsHeldForever) {

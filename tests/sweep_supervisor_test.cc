@@ -205,7 +205,7 @@ TEST(SweepSupervisor, EventCeilingFailsTheCellDeterministically) {
   SweepSpec sweep;
   sweep.add_cell("capped", small_spec());
   SweepOptions opts = quiet_options();
-  opts.max_cell_events = 500;
+  opts.supervision.max_cell_events = 500;
   SweepExecutor executor(opts);
   const auto outcomes = executor.run(sweep);
   ASSERT_EQ(outcomes.size(), 1u);
@@ -219,7 +219,7 @@ TEST(SweepSupervisor, RssCeilingFailsTheCell) {
   SweepSpec sweep;
   sweep.add_cell("heavy", small_spec());
   SweepOptions opts = quiet_options();
-  opts.max_cell_rss_bytes = 1;  // any estimate blows this
+  opts.supervision.max_cell_rss_bytes = 1;  // any estimate blows this
   SweepExecutor executor(opts);
   const auto outcomes = executor.run(sweep);
   ASSERT_EQ(outcomes[0].status, CellStatus::kFailed);
@@ -231,7 +231,7 @@ TEST(SweepSupervisor, WatchdogCancelsAHungCell) {
   SweepSpec sweep;
   sweep.add_cell("hung", small_spec());
   SweepOptions opts = quiet_options();
-  opts.cell_timeout = TimeDelta::millis(100);
+  opts.supervision.cell_timeout = TimeDelta::millis(100);
   SweepExecutor executor(opts);
   const auto outcomes = executor.run(sweep);
   ASSERT_EQ(outcomes[0].status, CellStatus::kFailed);
@@ -247,9 +247,9 @@ TEST(SweepSupervisor, GenerousBudgetsDoNotPerturbResults) {
   const auto reference = bare.run(sweep);
 
   SweepOptions opts = quiet_options();
-  opts.cell_timeout = TimeDelta::seconds(300);
-  opts.max_cell_events = 1'000'000'000ULL;
-  opts.max_cell_rss_bytes = 1LL << 40;
+  opts.supervision.cell_timeout = TimeDelta::seconds(300);
+  opts.supervision.max_cell_events = 1'000'000'000ULL;
+  opts.supervision.max_cell_rss_bytes = 1LL << 40;
   SweepExecutor budgeted(opts);
   const auto supervised = budgeted.run(sweep);
 
@@ -308,7 +308,7 @@ TEST(SweepSupervisor, TransientFailureRetriesAndSucceeds) {
   SweepSpec sweep;
   sweep.add_cell("flaky", small_spec());
   SweepOptions opts = quiet_options();
-  opts.retries = 2;
+  opts.supervision.retries = 2;
   SweepExecutor executor(opts);
   const auto outcomes = executor.run(sweep);
   ASSERT_EQ(outcomes[0].status, CellStatus::kOk);
@@ -326,7 +326,7 @@ TEST(SweepSupervisor, TransientFailureExhaustsRetries) {
   SweepSpec sweep;
   sweep.add_cell("flaky", small_spec());
   SweepOptions opts = quiet_options();
-  opts.retries = 1;
+  opts.supervision.retries = 1;
   SweepExecutor executor(opts);
   const auto outcomes = executor.run(sweep);
   ASSERT_EQ(outcomes[0].status, CellStatus::kFailed);
@@ -339,7 +339,7 @@ TEST(SweepSupervisor, DeterministicFailuresNeverRetry) {
   SweepSpec sweep;
   sweep.add_cell("bad", small_spec());
   SweepOptions opts = quiet_options();
-  opts.retries = 16;
+  opts.supervision.retries = 16;
   SweepExecutor executor(opts);
   const auto outcomes = executor.run(sweep);
   ASSERT_EQ(outcomes[0].status, CellStatus::kFailed);
@@ -388,7 +388,7 @@ TEST(SweepSupervisor, QuarantineFileCarriesAReplayCommand) {
   sweep.add_cell("victim", small_spec("newreno", 2, 42));
   SweepOptions opts = quiet_options();
   opts.quarantine_dir = dir.str();
-  opts.max_cell_events = 123456;
+  opts.supervision.max_cell_events = 123456;
   SweepExecutor executor(opts);
   const auto outcomes = executor.run(sweep);
   ASSERT_EQ(outcomes[0].status, CellStatus::kFailed);
@@ -752,9 +752,9 @@ TEST(SweepSupervisorProperty, RandomlyFaultedSweepsKeepHealthyCellsIntact) {
 
     SweepOptions opts = quiet_options();
     opts.jobs = 1 + static_cast<int>(rng() % 3);
-    opts.retries = 2;
+    opts.supervision.retries = 2;
     if (fault == InjectedFault::kHang) {
-      opts.cell_timeout = TimeDelta::millis(100);
+      opts.supervision.cell_timeout = TimeDelta::millis(100);
     }
     TempDir dir("prop" + std::to_string(iter));
     opts.resume_dir = dir.str();

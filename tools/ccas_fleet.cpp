@@ -50,17 +50,7 @@ int main(int argc, char** argv) {
       return sweep::fleet::fleet_exit_code(store);
     }
 
-    sweep::SweepSpec sweep;
-    sweep.name = "ccas_fleet";
-    const std::vector<uint64_t> seeds =
-        cli.run.seeds.empty() ? std::vector<uint64_t>{cli.run.spec.seed}
-                              : cli.run.seeds;
-    for (const uint64_t seed : seeds) {
-      ExperimentSpec spec = cli.run.spec;
-      spec.seed = seed;
-      sweep.add_cell("seed=" + std::to_string(seed), std::move(spec));
-    }
-
+    const sweep::SweepSpec sweep = seed_grid(cli.run, "ccas_fleet");
     sweep::fleet::FleetOptions opts;
     opts.dir = cli.fleet.fleet_dir;
     opts.worker_id = cli.fleet.worker_id;
@@ -68,10 +58,7 @@ int main(int argc, char** argv) {
     opts.heartbeat_ms = cli.fleet.heartbeat_ms;
     opts.stall_timeout_ms = cli.fleet.wait_ms;
     opts.cache_salt = cli.run.sweep.cache_salt;
-    opts.cell_timeout = cli.run.sweep.cell_timeout;
-    opts.max_cell_events = cli.run.sweep.max_cell_events;
-    opts.max_cell_rss_bytes = cli.run.sweep.max_cell_rss_bytes;
-    opts.retries = cli.run.sweep.retries;
+    opts.supervision = cli.run.sweep.supervision;
 
     sweep::fleet::FleetWorker worker(opts);
     const sweep::fleet::FleetSummary summary = worker.run(sweep);

@@ -10,14 +10,9 @@
 // threads, with optional on-disk result caching (--cache-dir). Failing
 // cells do not abort the sweep (unless --fail-fast): they are reported as
 // explicit holes, quarantined as .repro replay files (--quarantine /
-// --resume), and reflected in the exit code (tools/EXIT_CODES.md):
-//
-//   0  every cell succeeded
-//   1  usage or configuration error (bad flags, manifest salt mismatch,
-//      or any failure under --fail-fast)
-//   2  at least one deterministic cell failure (exception, audit violation)
-//   3  at least one budget blowout (and nothing deterministic)
-//   4  only transient failures that exhausted their retries (cache I/O)
+// --resume), and reflected in the exit code: 0 ok, 1 usage or
+// configuration error, 2/3/4 by the worst failure class
+// (sweep::failure_exit_code, tools/EXIT_CODES.md).
 #include <cstdio>
 #include <exception>
 #include <string>
@@ -45,16 +40,7 @@ int main(int argc, char** argv) {
                 opts.spec.scenario.stagger.sec(), opts.spec.scenario.warmup.sec(),
                 opts.spec.scenario.measure.sec());
 
-    sweep::SweepSpec sweep;
-    sweep.name = "ccas_run";
-    const std::vector<uint64_t> seeds =
-        opts.seeds.empty() ? std::vector<uint64_t>{opts.spec.seed} : opts.seeds;
-    for (const uint64_t seed : seeds) {
-      ExperimentSpec spec = opts.spec;
-      spec.seed = seed;
-      sweep.add_cell("seed=" + std::to_string(seed), std::move(spec));
-    }
-
+    const sweep::SweepSpec sweep = seed_grid(opts, "ccas_run");
     sweep::SweepExecutor executor(opts.sweep);
     const std::vector<sweep::CellOutcome> outcomes = executor.run(sweep);
 
@@ -69,9 +55,8 @@ int main(int argc, char** argv) {
                     out.failure->what.c_str());
         // One self-contained replay line; the quarantine .repro (if a dir
         // was configured) carries the same command plus budget flags.
-        ExperimentSpec spec = opts.spec;
-        spec.seed = seeds[static_cast<size_t>(&out - outcomes.data())];
-        std::printf("repro: %s\n", spec_to_cli_command(spec).c_str());
+        const size_t i = static_cast<size_t>(&out - outcomes.data());
+        std::printf("repro: %s\n", spec_to_cli_command(sweep.cells[i].spec).c_str());
         if (outcomes.size() > 1) std::printf("\n");
         continue;
       }
@@ -124,24 +109,9 @@ int main(int argc, char** argv) {
                    summary.jobs);
     }
 
-    // Exit taxonomy, most-actionable class first: a deterministic failure
-    // (2) beats a budget blowout (3) beats exhausted transients (4).
-    bool any_deterministic = false;
-    bool any_budget = false;
-    bool any_transient = false;
-    for (const sweep::CellFailure& f : executor.failures()) {
-      if (sweep::failure_is_budget(f.cls)) {
-        any_budget = true;
-      } else if (sweep::failure_is_transient(f.cls)) {
-        any_transient = true;
-      } else {
-        any_deterministic = true;
-      }
-    }
-    if (any_deterministic) return 2;
-    if (any_budget) return 3;
-    if (any_transient) return 4;
-    return 0;
+    std::vector<sweep::FailureClass> classes;
+    for (const sweep::CellFailure& f : executor.failures()) classes.push_back(f.cls);
+    return sweep::failure_exit_code(classes);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -38,8 +38,11 @@ trap 'rm -rf "$WORK"' EXIT
 FAILURES=0
 
 # The grid under test: three seeds of a tiny two-flow EdgeScale cell.
-BASE_FLAGS=(--setting=edge --groups=newreno:2:20 --rate=10 --buffer=100000
-            --stagger=0.1 --warmup=0.3 --measure=0.5 --jobs=1)
+# ccas_fleet takes GRID_FLAGS (it refuses --jobs: a worker computes one
+# cell at a time); ccas_run takes BASE_FLAGS.
+GRID_FLAGS=(--setting=edge --groups=newreno:2:20 --rate=10 --buffer=100000
+            --stagger=0.1 --warmup=0.3 --measure=0.5)
+BASE_FLAGS=("${GRID_FLAGS[@]}" --jobs=1)
 
 run_case() {
   # run_case <name> <expected-exit> <stdout-file> [args...]
@@ -180,7 +183,7 @@ FLEET_SEEDS=$(seq -s, 1 24)
 run_case fleet-serial-ref 0 "$WORK/fleet_serial.out" \
   "$RUN" "${BASE_FLAGS[@]}" --seeds="$FLEET_SEEDS" --resume="$WORK/serial"
 
-FLEET_FLAGS=("${BASE_FLAGS[@]}" --seeds="$FLEET_SEEDS"
+FLEET_FLAGS=("${GRID_FLAGS[@]}" --seeds="$FLEET_SEEDS"
              --fleet-dir="$WORK/fleet" --lease-ttl=2 --heartbeat=0.5
              --fleet-wait=120)
 CCAS_FAIL_CELL='seed=4:hang' "$FLEET" "${FLEET_FLAGS[@]}" --worker-id=wA \
@@ -254,7 +257,7 @@ fi
 # --- 9. Fleet: transient cache-io faults are absorbed by retries -----------
 run_case fleet-cacheio 0 "$WORK/fleet_io.out" \
   env CCAS_FAIL_CELL='seed=2:cacheio:2' \
-  "$FLEET" "${BASE_FLAGS[@]}" --seeds=1,2,3 --retries=2 \
+  "$FLEET" "${GRID_FLAGS[@]}" --seeds=1,2,3 --retries=2 \
   --fleet-dir="$WORK/fleet_io" --lease-ttl=2 --heartbeat=0.5 --fleet-wait=60
 # Each of its three cells matches the serial sweep's record for the same
 # spec hash (seeds 1-3 are a subset of the 24-seed reference grid).
@@ -271,14 +274,29 @@ grep '^cell ' "$WORK/fleet_io.canon" | while IFS= read -r line; do
   fi
 done || FAILURES=$((FAILURES + 1))
 
+# Faults that outlast --retries (default 2) exit 4 and leave a .repro in
+# the store's quarantine dir; a budget class never retries and exits 3.
+run_case fleet-cacheio-exhausts 4 "$WORK/fleet_io_bad.out" \
+  env CCAS_FAIL_CELL='seed=2:cacheio:3' \
+  "$FLEET" "${GRID_FLAGS[@]}" --seeds=1,2,3 \
+  --fleet-dir="$WORK/fleet_io_bad" --lease-ttl=2 --heartbeat=0.5 --fleet-wait=60
+if ! ls "$WORK"/fleet_io_bad/quarantine/*.repro >/dev/null 2>&1; then
+  echo "FAIL [fleet-cacheio-exhausts]: no .repro under <fleet-dir>/quarantine/" >&2
+  FAILURES=$((FAILURES + 1))
+fi
+run_case fleet-events 3 "$WORK/fleet_events.out" \
+  env CCAS_FAIL_CELL='seed=2:events' \
+  "$FLEET" "${GRID_FLAGS[@]}" --seeds=1,2,3 \
+  --fleet-dir="$WORK/fleet_events" --lease-ttl=2 --heartbeat=0.5 --fleet-wait=60
+
 # --- 10. Fleet: mismatched stores are refused with exit 1 ------------------
 mkdir -p "$WORK/fleet_stale"
 printf 'ccas-fleet-job v1 salt=some-older-simulator\nend 0\n' \
   >"$WORK/fleet_stale/job.spec"
 run_case fleet-salt-mismatch 1 "$WORK/fleet_salt.out" \
-  "$FLEET" "${BASE_FLAGS[@]}" --seeds=1 --fleet-dir="$WORK/fleet_stale"
+  "$FLEET" "${GRID_FLAGS[@]}" --seeds=1 --fleet-dir="$WORK/fleet_stale"
 run_case fleet-grid-mismatch 1 "$WORK/fleet_grid.out" \
-  "$FLEET" "${BASE_FLAGS[@]}" --seeds=1,2,4 --fleet-dir="$WORK/fleet_io"
+  "$FLEET" "${GRID_FLAGS[@]}" --seeds=1,2,4 --fleet-dir="$WORK/fleet_io"
 
 # --- 11. Bad flag values are usage errors (exit 1), never cell failures --
 # Each value is refused when the flags are parsed: a negative warmup used
@@ -291,7 +309,15 @@ run_case bad-rate 1 "$WORK/bad_rate.out" \
 run_case switch-with-value 1 "$WORK/switch_value.out" \
   "$RUN" "${BASE_FLAGS[@]}" --no-cache=false
 run_case fleet-bad-lease-ttl 1 "$WORK/fleet_bad_ttl.out" \
-  "$FLEET" "${BASE_FLAGS[@]}" --fleet-dir="$WORK/fleet_bad" --lease-ttl=nan
+  "$FLEET" "${GRID_FLAGS[@]}" --fleet-dir="$WORK/fleet_bad" --lease-ttl=nan
+# A grid flag the fleet has no use for is refused, not silently ignored,
+# and the sweep environment is read as strictly as the flags.
+run_case fleet-jobs 1 "$WORK/fleet_jobs.out" \
+  "$FLEET" "${GRID_FLAGS[@]}" --fleet-dir="$WORK/fleet_jobs" --jobs=2
+run_case env-bad-jobs 1 "$WORK/env_jobs.out" \
+  env CCAS_JOBS=3x "$RUN" "${GRID_FLAGS[@]}" --seeds=1,2,3
+run_case env-bad-no-cache 1 "$WORK/env_no_cache.out" \
+  env CCAS_NO_CACHE=false "$RUN" "${BASE_FLAGS[@]}"
 
 # --- 12. ccas_figures: bad input and a failed cell exit 1 ------------------
 # The per-figure bench binaries it replaced ran --jobs=3x with 3 workers,
