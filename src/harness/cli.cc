@@ -940,12 +940,23 @@ std::string fleet_cli_usage() {
          "(--groups, --seeds, --setting, budgets, --retries, ...); every\n"
          "worker of one job must pass the same grid flags. These do not\n"
          "apply to fleet jobs and are rejected:\n  " + refused + "\n"
+         "A set CCAS_JOBS, CCAS_CACHE_DIR or CCAS_NO_CACHE is rejected too.\n"
          "Exit codes: 0 ok, 1 usage/config/salt mismatch, 2 deterministic\n"
          "            cell failure, 3 budget exceeded, 4 transient failure\n"
          "            after retries, 5 job incomplete (tools/EXIT_CODES.md)\n";
 }
 
 FleetCli parse_fleet_cli(const std::vector<std::string>& args) {
+  // The sweep environment stands in for flags a fleet job refuses, so it
+  // is refused with them instead of being read and then ignored.
+  for (const auto& [var, flag] : {std::pair{"CCAS_JOBS", "--jobs"},
+                                  std::pair{"CCAS_CACHE_DIR", "--cache-dir"},
+                                  std::pair{"CCAS_NO_CACHE", "--no-cache"}}) {
+    if (env_value(var) != nullptr) {
+      fail(std::string(var) + " (like " + flag + ") does not apply to fleet jobs: " +
+           find_flag(kGridFlags, flag)->fleet_reject);
+    }
+  }
   FleetCli cli;
   std::vector<std::string> rest;
   for (const std::string& arg : args) {

@@ -74,8 +74,10 @@ struct FleetCli {
 // std::invalid_argument on: a missing/empty --fleet-dir, a non-positive
 // --lease-ttl or --heartbeat (or one that rounds to zero ms), a heartbeat
 // not shorter than the TTL, a malformed --worker-id, grid flags combined
-// with --report-only, or grid flags that cannot describe a fleet job
-// (those whose table row gives a fleet rejection reason).
+// with --report-only, grid flags that cannot describe a fleet job
+// (those whose table row gives a fleet rejection reason), or a set
+// CCAS_JOBS, CCAS_CACHE_DIR or CCAS_NO_CACHE (the environment of three
+// such flags).
 [[nodiscard]] FleetCli parse_fleet_cli(const std::vector<std::string>& args);
 
 // The ccas_fleet --help text.

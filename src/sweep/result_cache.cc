@@ -1,12 +1,13 @@
 #include "src/sweep/result_cache.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -51,6 +52,28 @@ bool get_flow(WireReader& r, FlowMeasurement& f) {
   f.window = TimeDelta::nanos(window_ns);
   f.mean_rtt = TimeDelta::nanos(mean_rtt_ns);
   return true;
+}
+
+// The whole of a regular file in one sized read. nullopt if it cannot be
+// opened or read in full: to the cache that is a miss, like corruption.
+std::optional<std::string> read_file(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  std::optional<std::string> out;
+  struct stat st {};
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    std::string buf(static_cast<size_t>(st.st_size), '\0');
+    size_t got = 0;
+    while (got < buf.size()) {
+      const ssize_t n = ::read(fd, buf.data() + got, buf.size() - got);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      got += static_cast<size_t>(n);
+    }
+    if (got == buf.size()) out = std::move(buf);
+  }
+  ::close(fd);
+  return out;
 }
 
 }  // namespace
@@ -148,7 +171,7 @@ std::string serialize_result(const ExperimentResult& result) {
   return out;
 }
 
-std::optional<ExperimentResult> deserialize_result(const std::string& payload) {
+std::optional<ExperimentResult> deserialize_result(std::string_view payload) {
   WireReader r(payload);
   ExperimentResult result;
 
@@ -272,22 +295,19 @@ std::string ResultCache::entry_path(uint64_t key) const {
 }
 
 std::optional<ExperimentResult> ResultCache::load(uint64_t key) const {
-  std::ifstream in(entry_path(key), std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string file((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return std::nullopt;
+  const std::optional<std::string> file = read_file(entry_path(key));
+  if (!file) return std::nullopt;
 
-  WireReader header(file);
-  std::string magic;
+  WireReader header(*file);
+  std::string_view magic;
   uint64_t version = 0;
   uint64_t stored_key = 0;
-  std::string payload;
+  std::string_view payload;
   uint64_t checksum = 0;
-  if (!header.get_string(magic) || magic != kMagic ||       //
+  if (!header.get_view(magic) || magic != kMagic ||         //
       !header.get_u64(version) || version != kFormatVersion ||
       !header.get_u64(stored_key) || stored_key != key ||   //
-      !header.get_string(payload) ||                        //
+      !header.get_view(payload) ||                          //
       !header.get_u64(checksum) || !header.exhausted()) {
     log_warn("sweep cache: malformed entry %s ignored", entry_path(key).c_str());
     return std::nullopt;
@@ -374,11 +394,8 @@ bool ResultCache::store(uint64_t key, const ExperimentResult& result) const {
     // success: entries for one key are equal bytes under the determinism
     // contract, and a divergent winner is caught by the manifest's
     // digest check, not here.
-    std::ifstream in(entry_path(key), std::ios::binary);
-    std::string readback((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
-    if (in.good() || in.eof()) {
-      if (readback == file) return true;
+    if (const std::optional<std::string> readback = read_file(entry_path(key))) {
+      if (*readback == file) return true;
       if (write_len == file.size() && load(key).has_value()) return true;
     }
     log_warn("sweep cache: verify-after-rename mismatch in %s (attempt %d), "

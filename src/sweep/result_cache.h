@@ -7,7 +7,8 @@
 // length-prefixed payload (the serialized result), and an FNV-1a checksum
 // of the payload. Entries that are truncated, bit-flipped, mis-keyed, or
 // from another format version fail to load and are recomputed — a corrupt
-// cache can cost time, never correctness.
+// cache can cost time, never correctness. A load is one sized read of the
+// file; the header, checksum and payload are then decoded in place.
 //
 // Writes go to a uniquely named temp file (pid + counter, so concurrent
 // worker processes racing the same key never tear each other's temp) in
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "src/harness/experiment.h"
 
@@ -34,7 +36,7 @@ namespace ccas::sweep {
 // Serialization used by the cache files (exposed for tests).
 [[nodiscard]] std::string serialize_result(const ExperimentResult& result);
 [[nodiscard]] std::optional<ExperimentResult> deserialize_result(
-    const std::string& payload);
+    std::string_view payload);
 
 class ResultCache {
  public:

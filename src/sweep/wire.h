@@ -47,13 +47,11 @@ class WireReader {
  public:
   explicit WireReader(std::string_view data) : data_(data) {}
 
+  // One unaligned load; the encoding is little-endian on every host.
   bool get_u64(uint64_t& v) {
-    if (pos_ + 8 > data_.size()) return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i]))
-           << (8 * i);
-    }
+    if (data_.size() - pos_ < 8) return false;
+    std::memcpy(&v, data_.data() + pos_, 8);
+    if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
     pos_ += 8;
     return true;
   }
@@ -86,11 +84,21 @@ class WireReader {
     return true;
   }
 
-  bool get_string(std::string& s) {
+  // A length-prefixed byte string as a view into the buffer (no copy); it
+  // stays valid while the buffer does. The bound is written as a
+  // subtraction so a prefix near 2^64 cannot wrap past it.
+  bool get_view(std::string_view& s) {
     uint64_t n = 0;
-    if (!get_u64(n) || pos_ + n > data_.size()) return false;
-    s.assign(data_.data() + pos_, n);
+    if (!get_u64(n) || n > data_.size() - pos_) return false;
+    s = data_.substr(pos_, n);
     pos_ += n;
+    return true;
+  }
+
+  bool get_string(std::string& s) {
+    std::string_view v;
+    if (!get_view(v)) return false;
+    s.assign(v);
     return true;
   }
 

@@ -822,6 +822,26 @@ TEST(FleetCli, RejectsGridFlagsThatCannotDescribeAFleetJob) {
   EXPECT_THROW(parse_fleet_cli({"--fleet-dir=d", "--no-such-flag=1"}),
                std::invalid_argument);
   EXPECT_NE(fleet_cli_usage().find("--fleet-dir"), std::string::npos);
+  // The sweep environment stands in for --jobs, --cache-dir and --no-cache
+  // and used to be read and then ignored; the refusal names the variable.
+  for (const char* var : {"CCAS_JOBS", "CCAS_CACHE_DIR", "CCAS_NO_CACHE"}) {
+    for (const char* value : {"1", "8", "c"}) {
+      setenv(var, value, 1);
+      try {
+        (void)parse_fleet_cli(base);
+        ADD_FAILURE() << var << "=" << value << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(var), std::string::npos) << e.what();
+      }
+      EXPECT_THROW(parse_fleet_cli({"--fleet-dir=d", "--report-only"}),
+                   std::invalid_argument)
+          << var << "=" << value;
+    }
+    setenv(var, "", 1);  // empty reads as unset
+    EXPECT_NO_THROW((void)parse_fleet_cli(base)) << var << " empty";
+    unsetenv(var);
+  }
+  EXPECT_NO_THROW((void)parse_fleet_cli(base));
 }
 
 TEST(FleetCli, SpecToCliRoundTripsThroughFleetParsing) {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "src/sweep/result_cache.h"
 #include "src/sweep/spec_hash.h"
 #include "src/sweep/sweep_spec.h"
+#include "src/sweep/wire.h"
+#include "src/util/logging.h"
 
 namespace ccas::sweep {
 namespace {
@@ -305,6 +308,196 @@ TEST(ResultCache, RejectsGarbageFile) {
     out << "this is not a cache entry";
   }
   EXPECT_FALSE(cache.load(5).has_value());
+}
+
+// A result built by hand, no simulation: two flows in two groups, drop and
+// congestion logs, and (with `appended_blocks`) the qdisc trailer and the
+// workload block, so every part of the payload format is present.
+ExperimentResult hand_built_result(bool appended_blocks) {
+  ExperimentResult r;
+  for (uint32_t i = 0; i < 2; ++i) {
+    FlowMeasurement f;
+    f.flow_id = i;
+    f.window = TimeDelta::seconds(3);
+    f.goodput_bps = 4.5e6 + i;
+    f.segments_sent = 1000 + i;
+    f.retransmits = 7 + i;
+    f.delivered = 990 + i;
+    f.congestion_events = 3 + i;
+    f.rto_events = i;
+    f.queue_drops = 5 + i;
+    f.packet_loss_rate = 0.005 + i * 0.001;
+    f.cwnd_halving_rate = 0.003 + i * 0.001;
+    f.mean_rtt = TimeDelta::micros(21'500 + i);
+    if (appended_blocks) {
+      f.queue_marks = 11 + i;
+      f.ecn_reductions = 2 + i;
+    }
+    r.flows.push_back(f);
+    r.flow_group.push_back(static_cast<int>(i));
+    r.groups.push_back(GroupResult{i == 0 ? "newreno" : "bbr", 1,
+                                   TimeDelta::millis(20 + 20 * i), 4.5e6 + i,
+                                   0.5, 1.0});
+    r.congestion_log.push_back(
+        {Time::nanos(1'500'000'000LL + i), Time::nanos(2'500'000'000LL + i)});
+  }
+  r.queue.enqueued_packets = 2000;
+  r.queue.enqueued_bytes = 3'000'000;
+  r.queue.dequeued_packets = 1990;
+  r.queue.dropped_packets = 10;
+  r.queue.dropped_bytes = 15'000;
+  r.queue.max_queued_bytes = 100'000;
+  r.drop_times = {Time::nanos(1'200'000'000), Time::nanos(1'800'000'000),
+                  Time::nanos(2'700'000'000)};
+  r.aggregate_goodput_bps = 9e6 + 1;
+  r.utilization = 0.9;
+  r.measured_for = TimeDelta::seconds(3);
+  r.sim_events = 123'456;
+  if (appended_blocks) {
+    r.queue.head_dropped_packets = 4;
+    r.queue.head_dropped_bytes = 6000;
+    r.queue.marked_packets = 21;
+    r.queue.sojourn_ns_sum = 987'654'321;
+    r.queue.sojourn_samples = 1990;
+    r.queue.max_sojourn_ns = 4'000'000;
+    WorkloadClassResult c;
+    c.name = "web";
+    c.cca = "cubic";
+    c.arrivals = 50;
+    c.rejected = 1;
+    c.completed = 45;
+    c.abandoned = 4;
+    c.completed_segments = 900;
+    c.mean_fct_s = 0.25;
+    c.p50_fct_s = 0.2;
+    c.p90_fct_s = 0.4;
+    c.p99_fct_s = 0.8;
+    c.p999_fct_s = 0.9;
+    c.mean_slowdown = 1.75;
+    r.workload_classes.push_back(c);
+    r.workload_goodput_bps = 1.25e6;
+  }
+  return r;
+}
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void write_bytes(const std::string& path, std::string_view bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Silences the cache's per-miss warnings for the scope of a test that
+// provokes hundreds of them.
+class QuietLog {
+ public:
+  QuietLog() : before_(log_level()) { set_log_level(LogLevel::kError); }
+  ~QuietLog() { set_log_level(before_); }
+  QuietLog(const QuietLog&) = delete;
+  QuietLog& operator=(const QuietLog&) = delete;
+
+ private:
+  LogLevel before_;
+};
+
+// The on-disk format is unchanged since v2 shipped: these FNV-1a digests of
+// whole entry files must never move, or existing caches, manifest results
+// stores and fleet stores stop loading.
+TEST(ResultCache, EntryBytesAreUnchanged) {
+  TempDir dir("entry_bytes");
+  ResultCache cache(dir.str());
+  const uint64_t key = 0x5eedc0ffee123456ULL;
+  const struct {
+    bool appended_blocks;
+    uint64_t digest;
+  } cases[] = {{false, 0x411de3eb6a72d2b0ULL}, {true, 0xd52cad29200a0b0bULL}};
+  for (const auto& c : cases) {
+    const ExperimentResult result = hand_built_result(c.appended_blocks);
+    ASSERT_TRUE(cache.store(key, result));
+    EXPECT_EQ(fnv1a64(read_bytes(cache.entry_path(key))), c.digest)
+        << "appended_blocks=" << c.appended_blocks;
+    const auto loaded = cache.load(key);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(serialize_result(*loaded), serialize_result(result));
+  }
+}
+
+TEST(ResultCache, EveryTruncationAndByteFlipIsAMiss) {
+  TempDir dir("every_byte");
+  ResultCache cache(dir.str());
+  const uint64_t key = 17;
+  ASSERT_TRUE(cache.store(key, hand_built_result(true)));
+  const std::string path = cache.entry_path(key);
+  const std::string bytes = read_bytes(path);
+  ASSERT_GT(bytes.size(), 64u);
+
+  QuietLog quiet;
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    write_bytes(path, std::string_view(bytes).substr(0, len));
+    EXPECT_FALSE(cache.load(key).has_value()) << "truncated to " << len;
+  }
+  // Every byte is covered: header bytes by the magic, version, key, length
+  // and exhaustion checks, payload bytes by FNV-1a (a single-byte change
+  // always changes it), checksum bytes by the comparison itself.
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    std::string flipped = bytes;
+    flipped[i] = static_cast<char>(flipped[i] ^ 0xff);
+    write_bytes(path, flipped);
+    EXPECT_FALSE(cache.load(key).has_value()) << "byte " << i << " flipped";
+  }
+  write_bytes(path, bytes);
+  EXPECT_TRUE(cache.load(key).has_value());
+}
+
+// A length prefix near 2^64 must not wrap the reader's bounds check: the
+// entry is a miss, never an exception.
+TEST(ResultCache, WrappingLengthPrefixIsAMiss) {
+  TempDir dir("wrapping");
+  ResultCache cache(dir.str());
+  const uint64_t key = 23;
+  const ExperimentResult result = hand_built_result(false);
+  ASSERT_TRUE(cache.store(key, result));
+  const std::string path = cache.entry_path(key);
+  const std::string bytes = read_bytes(path);
+  const std::string payload = serialize_result(result);
+  // Entry layout: magic (8-byte prefix + 8 bytes), version, key, then the
+  // payload's length prefix.
+  const size_t payload_prefix_at = 32;
+  ASSERT_EQ(bytes.substr(payload_prefix_at + 8, payload.size()), payload);
+  // The first group's name is the first "newreno" in the payload.
+  const size_t name_prefix_at = payload.find("newreno") - 8;
+
+  QuietLog quiet;
+  for (uint64_t back = 1; back <= 8; ++back) {
+    const uint64_t n = 0 - back;  // 2^64 - back
+    std::string prefix;
+    put_u64(prefix, n);
+
+    std::string entry = bytes;
+    entry.replace(0, 8, prefix);
+    write_bytes(path, entry);
+    EXPECT_NO_THROW(EXPECT_FALSE(cache.load(key).has_value())) << "magic, 2^64-" << back;
+
+    entry = bytes;
+    entry.replace(payload_prefix_at, 8, prefix);
+    write_bytes(path, entry);
+    EXPECT_NO_THROW(EXPECT_FALSE(cache.load(key).has_value())) << "payload, 2^64-" << back;
+
+    std::string bad_payload = payload;
+    bad_payload.replace(name_prefix_at, 8, prefix);
+    EXPECT_NO_THROW(EXPECT_FALSE(deserialize_result(bad_payload).has_value()))
+        << "group name, 2^64-" << back;
+    // The same payload behind a valid header and checksum reaches the
+    // decoder through load().
+    entry = bytes.substr(0, payload_prefix_at + 8) + bad_payload;
+    put_u64(entry, fnv1a64(bad_payload));
+    write_bytes(path, entry);
+    EXPECT_NO_THROW(EXPECT_FALSE(cache.load(key).has_value()))
+        << "group name via load, 2^64-" << back;
+  }
 }
 
 // ---------------------------------------------------------------------------

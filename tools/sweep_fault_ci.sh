@@ -314,6 +314,13 @@ run_case fleet-bad-lease-ttl 1 "$WORK/fleet_bad_ttl.out" \
 # and the sweep environment is read as strictly as the flags.
 run_case fleet-jobs 1 "$WORK/fleet_jobs.out" \
   "$FLEET" "${GRID_FLAGS[@]}" --fleet-dir="$WORK/fleet_jobs" --jobs=2
+# Their environment is refused too: it used to be read and ignored (exit
+# 0, and CCAS_CACHE_DIR's directory never created).
+run_case env-fleet-jobs 1 "$WORK/env_fleet_jobs.out" \
+  env CCAS_JOBS=8 "$FLEET" "${GRID_FLAGS[@]}" --seeds=1 --fleet-dir="$WORK/env_fleet"
+run_case env-fleet-cache-dir 1 "$WORK/env_fleet_cache.out" \
+  env CCAS_CACHE_DIR="$WORK/env_fleet_cache" \
+  "$FLEET" "${GRID_FLAGS[@]}" --seeds=1 --fleet-dir="$WORK/env_fleet"
 run_case env-bad-jobs 1 "$WORK/env_jobs.out" \
   env CCAS_JOBS=3x "$RUN" "${GRID_FLAGS[@]}" --seeds=1,2,3
 run_case env-bad-no-cache 1 "$WORK/env_no_cache.out" \
