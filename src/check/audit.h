@@ -136,31 +136,6 @@ class InvariantAuditor {
   // digests.
   void schedule_periodic(TimeDelta interval);
 
-  // ---- sharded runs -------------------------------------------------
-  // In a sharded run each event domain has its own auditor, and packets
-  // legally cross domains (injected on one, delivered on another), so the
-  // per-auditor conservation equation cannot close. The fabric marks every
-  // domain auditor conservation-external and checks the global equation
-  // itself at barriers, using the counter and held-totals accessors below.
-  void set_conservation_external(bool external) {
-    conservation_external_ = external;
-  }
-  [[nodiscard]] int64_t injected_packets() const { return injected_packets_; }
-  [[nodiscard]] int64_t injected_bytes() const { return injected_bytes_; }
-  [[nodiscard]] int64_t delivered_packets() const { return delivered_packets_; }
-  [[nodiscard]] int64_t delivered_bytes() const { return delivered_bytes_; }
-  [[nodiscard]] int64_t dropped_packets() const { return dropped_packets_; }
-  [[nodiscard]] int64_t dropped_bytes() const { return dropped_bytes_; }
-  // Sums the current holdings of every registered queue and holder into
-  // the two accumulators (adds; does not reset them).
-  void held_totals(int64_t& packets, int64_t& bytes) const;
-  // Records a violation found by an external checker (the fabric's global
-  // conservation sweep) so it lands in this auditor's report.
-  void record_external_violation(std::string invariant, Time at,
-                                 std::string detail) {
-    violation(std::move(invariant), kNoFlow, at, std::move(detail));
-  }
-
   // ---- results ------------------------------------------------------
   [[nodiscard]] const std::vector<Violation>& violations() const {
     return violations_;
@@ -219,7 +194,6 @@ class InvariantAuditor {
   uint64_t impaired_dup_packets_ = 0;
 
   std::vector<Violation> violations_;
-  bool conservation_external_ = false;
   uint64_t total_violations_ = 0;
   uint64_t checks_run_ = 0;
   TimeDelta check_interval_ = TimeDelta::zero();  // zero = no periodic checks

@@ -692,16 +692,11 @@ constexpr Flag<Cli> kGridFlags[] = {
          o.seeds.push_back(integer(k, seed, 0));
        }
      }},
-    // An explicit --jobs=0 or --shards=0 is a typo, not the default
-    // (hardware concurrency, or serial).
+    // An explicit --jobs=0 is a typo, not the default (hardware
+    // concurrency).
     {"--jobs", "<n>", "worker threads (default: hardware concurrency)",
      [](Cli& o, Str k, Str v) { o.sweep.jobs = int_in(k, v, 1, INT_MAX); }, nullptr,
      "a worker computes one cell at a time (start more workers instead)"},
-    {"--shards", "<n>",
-     "event domains per cell (default 1, or the\nCCAS_SHARDS env); not yet "
-     "byte-identical to\nserial at CoreScale flow counts (README)",
-     [](Cli& o, Str k, Str v) { o.spec.shards = int_in(k, v, 1, INT_MAX); },
-     [](Spec s, Notes&) { return std::to_string(s.shards); }},
     {"--cache-dir", "<path>", "enable the on-disk result cache",
      [](Cli& o, Str, Str v) { o.sweep.cache_dir = v; }, nullptr,
      "the shared results store under <fleet-dir>/results is the fleet's cache"},
@@ -866,9 +861,11 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
   CliOptions opts;
   opts.spec.scenario = Scenario::core_scale();
   opts.sweep = sweep_env();
-  // Environment default for sharding; an explicit --shards flag wins.
-  if (const char* env = env_value("CCAS_SHARDS")) {
-    opts.spec.shards = int_in("CCAS_SHARDS", env, 1, INT_MAX);
+  // Sharding is retired: a set CCAS_SHARDS is refused, not silently run
+  // serially (--shards is refused as an unknown flag).
+  if (env_value("CCAS_SHARDS") != nullptr) {
+    fail("CCAS_SHARDS is no longer supported: sharded execution was removed "
+         "and every cell runs serially (unset it)");
   }
   // --setting replaces the whole scenario, so it goes first whatever the
   // argument order: overrides such as --rate always apply on top of it.
@@ -1085,6 +1082,7 @@ SpecCliRendering spec_to_cli(const ExperimentSpec& spec) {
       {!spec.record_drop_log, "record_drop_log=false"},
       {spec.record_congestion_log, "record_congestion_log=true"},
       {!spec.trace_flows.empty(), "trace_flows subset"},
+      {spec.shards != 1, "shards (retired)"},
   };
   for (const auto& [overridden, field] : unflagged) {
     if (overridden) out.notes.push_back(std::string(field) + " has no flag");

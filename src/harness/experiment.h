@@ -31,14 +31,11 @@ struct ExperimentSpec {
   std::vector<FlowGroup> groups;
   uint64_t seed = 1;
 
-  // Event-domain count for the conservative parallel engine (src/sim/
-  // parallel/): 1 = the historical single-threaded path, N > 1 shards the
-  // fixed flows over N domains synchronized at the bottleneck. The
-  // differential test wall (14 golden cells, small random configs) pins
-  // sharded runs byte-identical to serial, but at CoreScale flow counts
-  // with the default edge jitter they are known to diverge (ROADMAP item
-  // 1). `shards` only enters the canonical spec encoding when non-default,
-  // so golden digests and cache keys keep their bytes.
+  // Inert: every run is serial, whatever this holds. Left over from the
+  // retired sharded engine; it stays only because perfbench/ sets it for
+  // its core-mix-sh3 workload, whose pinned digest hashes a spec that
+  // carries shards = 3 (the spec hash appends it when it is not 1). It
+  // goes, with that append, when a benchmark change retires core-mix-sh3.
   int shards = 1;
 
   TcpSenderConfig tcp;
@@ -46,11 +43,10 @@ struct ExperimentSpec {
 
   // Open-loop workload riding on top of (or instead of) the fixed groups:
   // session arrivals, heavy-tailed sizes, app-limited pacing models, FCT
-  // percentile stats per class (src/workload/). Disabled by default; like
-  // `shards`, its fields enter the canonical spec encoding only when
-  // enabled, so every pre-workload golden digest and cache key keeps its
-  // bytes. Workload flows draw from a dedicated derive_workload_seed
-  // stream and always live on the core simulator under --shards > 1.
+  // percentile stats per class (src/workload/). Disabled by default; its
+  // fields enter the canonical spec encoding only when enabled, so every
+  // pre-workload golden digest and cache key keeps its bytes. Workload
+  // flows draw from a dedicated derive_workload_seed stream.
   WorkloadSpec workload;
 
   // Optional early stop: sample aggregate goodput every `convergence_poll`

@@ -49,11 +49,6 @@ void NetemDelay::set_jitter(TimeDelta jitter, uint64_t seed) {
 }
 
 void NetemDelay::accept(Packet&& pkt) {
-  // The release time (including the jitter draw and the per-flow ordering
-  // clamp) is computed up front, in accept order, so the RNG stream and the
-  // clamp state are identical whether the delivery is scheduled here or
-  // handed to a relay. The relay must see the final release time: it is the
-  // cross-domain deliver_at.
   const uint32_t flow = pkt.flow_id;
   if (flow >= flows_.size()) flows_.resize(flow + 1);
   FlowState& fs = flows_[flow];
@@ -65,11 +60,6 @@ void NetemDelay::accept(Packet&& pkt) {
     if (release < fs.last_release) release = fs.last_release;
     fs.last_release = release;
     lane_id = kFlowLane | flow;
-  }
-  if (relay_ != nullptr && relay_->offload(flow, release, std::move(pkt))) {
-    // Offloaded packets are accounted by the receiving domain's delivery
-    // stage, not here: in_transit_ tracks only locally scheduled packets.
-    return;
   }
   // The key is reserved here, where a per-packet schedule_at would have
   // pushed; only the lane's head is actually pushed.

@@ -37,18 +37,6 @@ class DelayLine final : public PacketSink, public EventHandler {
   RingBuffer<Packet> fifo_;
 };
 
-// Offload target for NetemDelay: the shard fabric installs one so that
-// deliveries to flows homed on another event domain are handed over (with
-// the fully computed release time) instead of scheduled locally. Kept as a
-// tiny interface — not std::function — so the unsharded hot path pays one
-// null check and the sharded path one devirtualized call.
-struct NetemRelay {
-  virtual ~NetemRelay() = default;
-  // Returns true if the packet was taken over; false means the flow is
-  // local and NetemDelay must schedule the delivery itself.
-  virtual bool offload(uint32_t flow_id, Time deliver_at, Packet&& pkt) = 0;
-};
-
 // Holds each in-flight packet in a FIFO lane whose release times are
 // non-decreasing in accept order, and keeps one pending event per
 // non-empty lane (for its head) instead of one per packet. Without jitter
@@ -82,11 +70,6 @@ class NetemDelay final : public PacketSink, public EventHandler {
 
   void accept(Packet&& pkt) override;
   void on_event(uint32_t tag, uint64_t arg) override;
-
-  // Installs (or clears, with nullptr) the shard fabric's offload target.
-  // Release times are computed before the offload decision, so the jitter
-  // RNG stream is identical with or without a relay installed.
-  void set_relay(NetemRelay* relay) { relay_ = relay; }
 
   // Capacity hints (no observable effect): size the per-flow table for
   // `flows` flows, and the lane storage for `packets` packets in flight,
@@ -135,7 +118,6 @@ class NetemDelay final : public PacketSink, public EventHandler {
 
   Simulator& sim_;
   PacketSink* dest_;
-  NetemRelay* relay_ = nullptr;
   std::vector<FlowState> flows_;
   // One per distinct delay ever set, in first-use order (a handful in
   // practice: one per RTT group). Append-only: flows and pending events

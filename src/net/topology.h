@@ -91,10 +91,6 @@ class DumbbellTopology {
   // Null when the impairment config is inert (stage not constructed).
   [[nodiscard]] ImpairedLink* impaired_link() { return impaired_.get(); }
   [[nodiscard]] const ImpairedLink* impaired_link() const { return impaired_.get(); }
-  // The propagation stages, exposed so the shard fabric can install its
-  // cross-domain relays (delay_line.h NetemRelay).
-  [[nodiscard]] NetemDelay& forward_netem() { return *forward_netem_; }
-  [[nodiscard]] NetemDelay& reverse_netem() { return *reverse_netem_; }
   // Lane storage held by both netems' packets in flight. Each such packet
   // used to hold a pending event, so RSS estimates built on
   // Simulator::pending_events() add this to stay as strict as before.

@@ -59,7 +59,7 @@ struct SimBudget {
   int64_t max_rss_bytes = 0;
   std::function<int64_t()> extra_rss_bytes;
 
-  // Rough per-pending-event cost: the Event itself plus amortized
+  // Rough per-pending-event cost: the Event itself (40 B) plus amortized
   // timing-wheel / overflow-heap bookkeeping.
   static constexpr int64_t kPendingEventRssBytes = 48;
 

@@ -15,17 +15,12 @@ EventQueue::EventQueue(SimProfile* profile) : profile_(profile) {
 }
 
 void EventQueue::push(Time at, EventHandler* handler, uint32_t tag, uint64_t arg) {
-  push_reserved(at, EventKey{next_seq_++, CausalKey{}}, handler, tag, arg);
-}
-
-void EventQueue::push_keyed(Time at, CausalKey key, EventHandler* handler,
-                            uint32_t tag, uint64_t arg) {
-  push_reserved(at, EventKey{next_seq_++, key}, handler, tag, arg);
+  push_reserved(at, EventKey{next_seq_++}, handler, tag, arg);
 }
 
 void EventQueue::push_reserved(Time at, const EventKey& key, EventHandler* handler,
                                uint32_t tag, uint64_t arg) {
-  place(Event{at, key.seq, key.causal.armed_at, handler, arg, key.causal.ctr, tag});
+  place(Event{at, key.seq, handler, arg, tag});
   ++size_;
   if (profile_ && size_ > profile_->pending_max) profile_->pending_max = size_;
 }

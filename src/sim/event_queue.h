@@ -40,9 +40,6 @@ class EventQueue {
   explicit EventQueue(SimProfile* profile = nullptr);
 
   void push(Time at, EventHandler* handler, uint32_t tag, uint64_t arg);
-  // Sharded-mode push carrying a causal ordering key (see event.h).
-  void push_keyed(Time at, CausalKey key, EventHandler* handler, uint32_t tag,
-                  uint64_t arg);
   // Takes the next FIFO sequence number without pushing anything;
   // push_reserved files an event under it later (EventKey in event.h).
   [[nodiscard]] uint64_t reserve_seq() { return next_seq_++; }

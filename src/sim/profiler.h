@@ -33,8 +33,7 @@ struct SimProfile {
   // Pending-set gauge: the largest EventQueue::size() reached, and the
   // size sampled after every kPendingSampleEvery-th dispatch (mean =
   // pending_sample_sum / pending_samples). Observational only — never
-  // serialized. On a sharded aggregate these describe one engine's queue:
-  // the max over engines and the mean pooled over every engine's samples.
+  // serialized.
   static constexpr uint64_t kPendingSampleEvery = 1024;
   uint64_t pending_max = 0;
   uint64_t pending_samples = 0;
@@ -72,11 +71,9 @@ struct SimProfile {
   double wall_seconds = 0.0;
   double sim_seconds = 0.0;
 
-  // Sharded-run accounting (src/sim/parallel/), filled only on aggregated
-  // profiles of multi-domain runs. Counter fields above are then sums over
-  // the core + all domains; wall_seconds is the fabric's end-to-end wall
-  // clock (honest parallel events/s), while the two phase clocks below
-  // split it into the serial core phase and the parallel edge phase.
+  // Always zero: every run is serial. They stay only because perfbench/
+  // reads them for its core-mix-sh3 workload, and go when a benchmark
+  // change retires that workload.
   uint64_t shard_domains = 0;
   uint64_t shard_windows = 0;  // conservative windows executed
   double shard_core_wall_seconds = 0.0;

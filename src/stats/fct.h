@@ -35,7 +35,7 @@ struct WorkloadClassResult {
 };
 
 // One per traffic class. Streaming: O(sketch) memory however many flows
-// complete, mergeable for sharded accumulation.
+// complete, mergeable across recorders fed disjoint slices of the flows.
 class FctRecorder {
  public:
   FctRecorder() = default;

@@ -1,9 +1,10 @@
 // Greenwald–Khanna streaming quantile summary (SIGMOD 2001): one-pass
 // eps-approximate rank queries in O((1/eps) log(eps n)) space, with merge
-// support for sharded accumulation. Entirely deterministic — no sampling,
-// no randomization — so identical insert order yields identical summaries
-// and identical query answers (golden-safe). Used by the workload engine's
-// FCT recorder for P50/P90/P99/P999 over millions of completions.
+// support for summaries built over disjoint slices. Entirely deterministic
+// — no sampling, no randomization — so identical insert order yields
+// identical summaries and identical query answers (golden-safe). Used by
+// the workload engine's FCT recorder for P50/P90/P99/P999 over millions of
+// completions.
 #pragma once
 
 #include <cstddef>

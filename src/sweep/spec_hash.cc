@@ -145,10 +145,9 @@ std::string canonical_spec_bytes(const ExperimentSpec& spec) {
   tagged_u64(out, "trace.flows", spec.trace_flows.size());
   for (const uint32_t id : spec.trace_flows) tagged_u64(out, "trace.flow", id);
 
-  // Appended only when sharded, so every single-shard spec keeps its
-  // historical byte encoding, cache keys and golden digests. (Results are
-  // byte-identical across shard counts — the shard field is still encoded
-  // so a cached result records which execution mode produced it.)
+  // The inert shards field (experiment.h), appended only when it is not 1
+  // so perfbench's core-mix-sh3 keeps its pinned digest; every other spec
+  // keeps its historical byte encoding, cache keys and golden digests.
   if (spec.shards != 1) tagged_i64(out, "shards", spec.shards);
 
   // Appended only when the open-loop workload is enabled, so every

@@ -4,7 +4,7 @@
 // lifetimes all end together when the run tears down. A MonotonicArena
 // packs them into large contiguous blocks — one bump-pointer per
 // allocation instead of one malloc per object, and flow state that is
-// iterated together (snapshots, convergence polls, shard domains) stays
+// iterated together (snapshots, convergence polls) stays
 // cache-adjacent. Objects are destroyed in reverse construction order
 // when the arena is destroyed; nothing is freed early.
 #pragma once

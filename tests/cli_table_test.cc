@@ -123,7 +123,6 @@ TEST(CliTable, HostileNumericValuesAreRejected) {
       {"--seeds=@", true, {}},
       {"--seeds=1,@", true, {}},
       {"--jobs=@", true, {}},
-      {"--shards=@", true, {}},
       {"--cell-timeout=@", false, {}},
       {"--cell-events=@", true, {}},
       {"--cell-rss=@", false, {}},
@@ -474,7 +473,7 @@ class SpecGen {
     s.receiver.gro_enabled = coin();
     if (coin()) s.tcp.rto_rearm_slack = ns(1, 1e8);
     if (coin()) s.trace_interval = ns(1, 1e10);
-    s.shards = static_cast<int>(pick(1, 8));
+    // shards stays 1: the retired field renders as a note, not a flag.
     if (coin() || s.groups.empty()) workload(s.workload);
     return s;
   }

@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <fstream>
 
-#include "src/harness/runner.h"
 #include "src/sweep/spec_hash.h"
 
 namespace ccas {
@@ -487,33 +486,71 @@ TEST(Cli, UsageMentionsSupervisionFlagsAndExitCodes) {
   EXPECT_NE(usage.find("Exit codes"), std::string::npos);
 }
 
+TEST(Cli, ShardsFlagAndEnvAreRefused) {
+  // Sharded execution is retired: its flag is an unknown flag, and a set
+  // CCAS_SHARDS is refused by name instead of silently running serially.
+  try {
+    (void)parse_cli({"--groups=cubic:4:20", "--shards=2"});
+    ADD_FAILURE() << "--shards was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag '--shards'"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(cli_usage().find("--shards"), std::string::npos);
+  for (const char* value : {"1", "4", "junk"}) {
+    setenv("CCAS_SHARDS", value, 1);
+    try {
+      (void)parse_cli({"--groups=cubic:4:20"});
+      ADD_FAILURE() << "CCAS_SHARDS=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("CCAS_SHARDS"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Empty means "not set", as for every CCAS_* variable.
+  setenv("CCAS_SHARDS", "", 1);
+  EXPECT_EQ(parse_cli({"--groups=cubic:4:20"}).spec.shards, 1);
+  unsetenv("CCAS_SHARDS");
+}
+
+// The next three tests keep the names of the --shards tests from before
+// sharded execution was retired and replay their command lines: every one
+// of them, including the ones that used to be accepted, is now refused.
+
 TEST(Cli, ShardsRequiresPositiveInteger) {
-  // Like --jobs: --shards=0 is a typo, not "serial"; fractions and
-  // exponents truncating would silently run a different partition.
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=0"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=-2"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=2.5"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=1e2"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=abc"}),
-               std::invalid_argument);
-  EXPECT_EQ(parse_cli({"--groups=cubic:4:20", "--shards=4"}).spec.shards, 4);
+  // --shards once took a positive integer; now no value is accepted, the
+  // valid ones included, and the spec keeps its inert default.
+  for (const char* flag : {"--shards=0", "--shards=-2", "--shards=2.5", "--shards=1e2",
+                           "--shards=abc", "--shards=4", "--shards=1", "--shards"}) {
+    try {
+      (void)parse_cli({"--groups=cubic:4:20", flag});
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown flag '--shards'"), std::string::npos)
+          << flag << ": " << e.what();
+    }
+  }
   EXPECT_EQ(parse_cli({"--groups=cubic:4:20"}).spec.shards, 1);
 }
 
 TEST(Cli, ShardsEnvDefaultAndFlagPrecedence) {
+  // CCAS_SHARDS no longer supplies a default and --shards no longer
+  // overrides it: a set variable is refused by name whatever the flags say.
   setenv("CCAS_SHARDS", "3", 1);
-  EXPECT_EQ(parse_cli({"--groups=cubic:4:20"}).spec.shards, 3);
-  // An explicit flag wins over the environment default.
-  EXPECT_EQ(parse_cli({"--groups=cubic:4:20", "--shards=2"}).spec.shards, 2);
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{"--groups=cubic:4:20"},
+        std::vector<std::string>{"--groups=cubic:4:20", "--jobs=2"}}) {
+    try {
+      (void)parse_cli(args);
+      ADD_FAILURE() << "CCAS_SHARDS=3 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("CCAS_SHARDS"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=2"}), std::invalid_argument);
   setenv("CCAS_SHARDS", "0", 1);
   EXPECT_THROW(parse_cli({"--groups=cubic:4:20"}), std::invalid_argument);
-  setenv("CCAS_SHARDS", "junk", 1);
-  EXPECT_THROW(parse_cli({"--groups=cubic:4:20"}), std::invalid_argument);
-  // Empty means "not set".
   setenv("CCAS_SHARDS", "", 1);
   EXPECT_EQ(parse_cli({"--groups=cubic:4:20"}).spec.shards, 1);
   unsetenv("CCAS_SHARDS");
@@ -521,35 +558,16 @@ TEST(Cli, ShardsEnvDefaultAndFlagPrecedence) {
 }
 
 TEST(Cli, ShardsBeyondFlowCountIsASpecError) {
-  // Every domain needs at least one flow; the check lives in the runner's
-  // spec validation so it also guards API users, not just the CLI.
-  ExperimentSpec spec = parse_cli({"--groups=cubic:4:20", "--shards=5"}).spec;
-  EXPECT_THROW(run_experiment(spec), std::invalid_argument);
-  // --jobs controls sweep workers and must not loosen or tighten the
-  // per-cell shard validation.
-  const CliOptions o =
-      parse_cli({"--groups=cubic:4:20", "--shards=4", "--jobs=2"});
-  EXPECT_EQ(o.spec.shards, 4);
+  // A shard count above the flow count, or any other, is still an error on
+  // the command line, and --jobs does not change that. Set through the API,
+  // ExperimentSpec::shards is inert: golden.ShardsFieldKeepsSerialSpecBytes
+  // pins that it leaves the result bytes as at shards = 1.
+  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=5"}), std::invalid_argument);
+  EXPECT_THROW(parse_cli({"--groups=cubic:4:20", "--shards=4", "--jobs=2"}),
+               std::invalid_argument);
+  const CliOptions o = parse_cli({"--groups=cubic:4:20", "--jobs=2"});
+  EXPECT_EQ(o.spec.shards, 1);
   EXPECT_EQ(o.sweep.jobs, 2);
-}
-
-TEST(Cli, ShardsSpecCliRoundTrip) {
-  // Non-default shard counts render and reparse to the identical spec;
-  // the default renders to nothing (serial cache keys keep their bytes).
-  for (const char* flag : {"--shards=2", "--shards=8"}) {
-    const CliOptions original = parse_cli({"--groups=cubic:8:20", flag});
-    const SpecCliRendering rendering = spec_to_cli(original.spec);
-    EXPECT_TRUE(rendering.notes.empty());
-    const CliOptions reparsed = parse_cli(rendering.args);
-    EXPECT_EQ(reparsed.spec.shards, original.spec.shards);
-    EXPECT_EQ(sweep::canonical_spec_bytes(original.spec),
-              sweep::canonical_spec_bytes(reparsed.spec));
-  }
-  const CliOptions serial = parse_cli({"--groups=cubic:8:20"});
-  for (const std::string& arg : spec_to_cli(serial.spec).args) {
-    EXPECT_EQ(arg.find("--shards"), std::string::npos) << arg;
-  }
-  EXPECT_NE(cli_usage().find("--shards"), std::string::npos);
 }
 
 TEST(Cli, WorkloadParsesFullConfiguration) {

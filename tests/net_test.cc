@@ -352,8 +352,7 @@ TEST(DumbbellTopology, NetemHeldBytesKeepTheRssEstimateAtThePerEventFigure) {
       }
     }
     sim.run_until(Time::zero() + TimeDelta::millis(9));
-    const int64_t held = static_cast<int64_t>(topo.forward_netem().in_transit() +
-                                              topo.reverse_netem().in_transit());
+    const int64_t held = topo.netem_held_bytes() / NetemDelay::held_packet_bytes();
     ASSERT_GT(held, 20000);
     const auto pending = static_cast<int64_t>(sim.pending_events());
     EXPECT_LT(pending, held / 4);

@@ -4,7 +4,7 @@
 // copied here as the oracle. Both run the same randomized script —
 // flows sharing delays, zero delays, same-nanosecond accepts, mid-run
 // delay and jitter changes, unrelated events at colliding nanoseconds,
-// deliveries that re-enter the netem, causal keys on and off — and must
+// deliveries that re-enter the netem — and must
 // produce the same (time, flow, seq) deliveries interleaved identically
 // with every other event, with the same event count.
 #include <gtest/gtest.h>
@@ -22,8 +22,7 @@
 namespace ccas {
 namespace {
 
-// The per-packet NetemDelay (relay support dropped: the sharded fabric has
-// its own differential wall in parallel_property_test.cc).
+// The per-packet NetemDelay.
 class SlotPoolNetem final : public PacketSink, public EventHandler {
  public:
   SlotPoolNetem(Simulator& sim, PacketSink* dest) : sim_(sim), dest_(dest) {}
@@ -97,7 +96,6 @@ struct Step {
 };
 
 struct Script {
-  bool causal = false;
   uint32_t flows = 1;
   std::vector<TimeDelta> initial_delay;  // per flow; negative = left unset
   TimeDelta jitter;
@@ -108,7 +106,6 @@ struct Script {
 Script make_script(uint64_t seed) {
   Rng rng(seed);
   Script s;
-  s.causal = rng.next_below(3) == 0;
   s.flows = 1 + static_cast<uint32_t>(rng.next_below(10));
   // A small delay pool, so flows share delays and probes collide with
   // release times; zero delay is always possible.
@@ -175,7 +172,6 @@ struct Outcome {
 template <typename Netem>
 Outcome run_script(const Script& script) {
   Simulator sim;
-  if (script.causal) sim.enable_causal_keys();
   std::vector<Record> log;
 
   struct Probe : EventHandler {
@@ -277,18 +273,15 @@ void expect_same_outcome(const Outcome& lanes, const Outcome& oracle,
 }
 
 TEST(NetemLanesProperty, MatchesPerPacketEventsOnRandomScripts) {
-  int causal = 0;
   int jittered = 0;
   for (uint64_t seed = 1; seed <= 500; ++seed) {
     const Script script = make_script(seed);
-    causal += script.causal ? 1 : 0;
     jittered += script.jitter.is_zero() ? 0 : 1;
     expect_same_outcome(run_script<NetemDelay>(script), run_script<SlotPoolNetem>(script),
                         "seed " + std::to_string(seed));
     if (HasFatalFailure()) return;
   }
-  // The generator covers both key modes and both lane kinds.
-  EXPECT_GT(causal, 100);
+  // The generator covers both lane kinds.
   EXPECT_GT(jittered, 150);
 }
 

@@ -77,8 +77,8 @@ TEST(EventQueue, ReservedKeyDispatchesBeforeLaterSameNsPushes) {
   q.push(Time::nanos(5), &h, 3, 0);
   // Pushed last, filed under the keys reserved before and between the
   // plain pushes.
-  q.push_reserved(Time::nanos(5), EventKey{late, {}}, &h, 10, 0);
-  q.push_reserved(Time::nanos(5), EventKey{early, {}}, &h, 0, 0);
+  q.push_reserved(Time::nanos(5), EventKey{late}, &h, 10, 0);
+  q.push_reserved(Time::nanos(5), EventKey{early}, &h, 0, 0);
   EXPECT_EQ(q.pop().tag, 0u);
   EXPECT_EQ(q.pop().tag, 1u);
   EXPECT_EQ(q.pop().tag, 2u);
@@ -87,23 +87,19 @@ TEST(EventQueue, ReservedKeyDispatchesBeforeLaterSameNsPushes) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(Simulator, ReservedKeyKeepsItsPlaceUnderCausalKeys) {
+TEST(Simulator, ReservedKeyKeepsItsPlace) {
   // A handler at t=1 reserves a key, lets two same-ns events be scheduled
-  // after it, then pushes under the reserved key: it still runs first,
-  // with or without causal keys.
-  for (const bool causal : {false, true}) {
-    Simulator sim;
-    if (causal) sim.enable_causal_keys();
-    RecordingHandler h;
-    sim.schedule_fn_at(Time::nanos(1), [&] {
-      const EventKey key = sim.reserve_key();
-      sim.schedule_at(Time::nanos(7), &h, 1, 0);
-      sim.schedule_at(Time::nanos(7), &h, 2, 0);
-      sim.schedule_reserved(Time::nanos(7), key, &h, 0, 0);
-    });
-    sim.run();
-    EXPECT_EQ(h.tags, (std::vector<uint32_t>{0, 1, 2})) << "causal=" << causal;
-  }
+  // after it, then pushes under the reserved key: it still runs first.
+  Simulator sim;
+  RecordingHandler h;
+  sim.schedule_fn_at(Time::nanos(1), [&] {
+    const EventKey key = sim.reserve_key();
+    sim.schedule_at(Time::nanos(7), &h, 1, 0);
+    sim.schedule_at(Time::nanos(7), &h, 2, 0);
+    sim.schedule_reserved(Time::nanos(7), key, &h, 0, 0);
+  });
+  sim.run();
+  EXPECT_EQ(h.tags, (std::vector<uint32_t>{0, 1, 2}));
 }
 
 TEST(EventQueue, ClearResets) {

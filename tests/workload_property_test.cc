@@ -1,7 +1,7 @@
 // Property tests for the open-loop workload engine (src/workload/):
 // ~200 random configurations covering distribution moments, Poisson
-// arrival statistics, same-seed byte-identical replay, serial-vs-sharded
-// and jobs-level result equality, and conservation under the auditor.
+// arrival statistics, same-seed byte-identical replay, jobs-level result
+// equality, and conservation under the auditor.
 // Also finite senders, and flow churn — the arrivals and departures the
 // paper's Limitations section sets aside — run as a one-class workload.
 #include <gtest/gtest.h>
@@ -168,7 +168,7 @@ TEST(WorkloadProperty, DeterministicArrivalsAreExactlyPaced) {
   }
 }
 
-// --------------------------------------------------- replay and shards ----
+// ------------------------------------------------------------- replay ----
 
 // Random mixed config: optional background groups, 1-3 classes spanning
 // the app models and size kinds, random rates and caps.
@@ -247,24 +247,6 @@ TEST(WorkloadProperty, SameSeedReplayIsByteIdentical) {
     const std::string b = sweep::serialize_result(run_experiment(spec));
     EXPECT_EQ(a, b) << "config " << i;
     EXPECT_FALSE(a.empty());
-  }
-}
-
-TEST(WorkloadProperty, SerialAndShardedRunsAreByteIdentical) {
-  Rng meta(777);
-  for (int i = 0; i < 4; ++i) {
-    ExperimentSpec spec = random_workload_spec(meta, /*with_groups=*/true);
-    spec.shards = 1;
-    const std::string serial = sweep::serialize_result(run_experiment(spec));
-    for (const int shards : {2, 3, 4}) {
-      if (shards > spec.total_flows()) continue;
-      spec.shards = shards;
-      ExperimentResult r = run_experiment(spec);
-      // The shards field enters the canonical spec encoding, so compare
-      // result payloads (what the digest wall hashes), not cache keys.
-      EXPECT_EQ(serial, sweep::serialize_result(r))
-          << "config " << i << " seed " << spec.seed << " shards " << shards;
-    }
   }
 }
 

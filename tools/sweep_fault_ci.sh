@@ -325,6 +325,16 @@ run_case env-bad-jobs 1 "$WORK/env_jobs.out" \
   env CCAS_JOBS=3x "$RUN" "${GRID_FLAGS[@]}" --seeds=1,2,3
 run_case env-bad-no-cache 1 "$WORK/env_no_cache.out" \
   env CCAS_NO_CACHE=false "$RUN" "${BASE_FLAGS[@]}"
+# Sharded execution is retired: its flag and its variable are refused,
+# not silently run serially.
+run_case shards-removed 1 "$WORK/shards_flag.out" \
+  "$RUN" "${BASE_FLAGS[@]}" --shards=2
+run_case shards-removed-env 1 "$WORK/shards_env.out" \
+  env CCAS_SHARDS=2 "$RUN" "${BASE_FLAGS[@]}"
+if ! grep -q CCAS_SHARDS "$WORK/shards_env.out.err"; then
+  echo "FAIL [shards-removed-env]: the error does not name CCAS_SHARDS" >&2
+  FAILURES=$((FAILURES + 1))
+fi
 
 # --- 12. ccas_figures: bad input and a failed cell exit 1 ------------------
 # The per-figure bench binaries it replaced ran --jobs=3x with 3 workers,
