@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench/inter_cca_suite.h"
 #include "bench/mathis_suite.h"
-#include "src/cca/bbr.h"
+#include "src/cca/cca.h"
 #include "src/models/ware_bbr.h"
 #include "src/net/packet.h"
 #include "src/net/qdisc/qdisc.h"
@@ -134,30 +133,11 @@ Grid finding4_grid() {
 
 // ---- Ablations (DESIGN.md §4): NewReno/BBR at 3000 nominal flows, 20 ms ----
 
-constexpr uint64_t kMinCwnds[] = {2, 4, 8};
-
-std::string mincwnd_cca(uint64_t min_cwnd) {
-  return "bbr-mincwnd-" + std::to_string(min_cwnd);
-}
-
 Grid mincwnd_grid() {
-  // Registered once, before any sweep fans out: registry mutation is not
-  // thread-safe, factory lookup is.
-  static const bool registered = [] {
-    for (const uint64_t min_cwnd : kMinCwnds) {
-      CcaRegistry::instance().register_cca(mincwnd_cca(min_cwnd), [min_cwnd](Rng& rng) {
-        BbrConfig cfg;
-        cfg.min_cwnd = min_cwnd;
-        return std::make_unique<Bbr>(cfg, rng);
-      });
-    }
-    return true;
-  }();
-  (void)registered;
   Grid cells;
-  for (const uint64_t min_cwnd : kMinCwnds) {
+  for (const uint64_t min_cwnd : kBbrMinCwnds) {
     FigureCell cell =
-        single_group(Setting::kCoreScale, mincwnd_cca(min_cwnd), 3000, 20,
+        single_group(Setting::kCoreScale, bbr_mincwnd_cca(min_cwnd), 3000, 20,
                      {2.0, 15.0, 45.0}, "min_cwnd=" + std::to_string(min_cwnd));
     cell.labels = {std::to_string(min_cwnd)};
     cells.push_back(std::move(cell));

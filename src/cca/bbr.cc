@@ -1,7 +1,6 @@
 #include "src/cca/bbr.h"
 
 #include <algorithm>
-#include <new>
 
 #include "src/net/packet.h"
 
@@ -240,15 +239,6 @@ void Bbr::on_rto(Time /*now*/) {
   in_recovery_ = true;
   packet_conservation_ = true;
   recovery_end_round_ = round_count_ + 1;
-}
-
-void register_bbr(CcaRegistry& registry) {
-  registry.register_cca(
-      "bbr", [](Rng& rng) { return std::make_unique<Bbr>(BbrConfig{}, rng); },
-      CcaPlacement{sizeof(Bbr), alignof(Bbr),
-                   [](void* mem, Rng& rng) -> CongestionController* {
-                     return new (mem) Bbr(BbrConfig{}, rng);
-                   }});
 }
 
 }  // namespace ccas

@@ -126,6 +126,4 @@ class Bbr final : public CongestionController {
   DataRate pacing_rate_ = DataRate::infinite();
 };
 
-void register_bbr(CcaRegistry& registry);
-
 }  // namespace ccas

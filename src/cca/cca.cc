@@ -1,76 +1,92 @@
 #include "src/cca/cca.h"
 
+#include <algorithm>
+#include <new>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "src/cca/bbr.h"
-#include "src/cca/bbr2.h"
-#include "src/cca/copa.h"
 #include "src/cca/cubic.h"
 #include "src/cca/new_reno.h"
-#include "src/cca/vegas.h"
 
 namespace ccas {
 
-CcaRegistry& CcaRegistry::instance() {
-  // Built-in CCAs are registered explicitly here (not via static
-  // initializers, which a static library would silently drop).
-  static CcaRegistry* registry = [] {
-    auto* r = new CcaRegistry();
-    register_new_reno(*r);
-    register_cubic(*r);
-    register_bbr(*r);
-    register_bbr2(*r);
-    register_copa(*r);
-    register_vegas(*r);
-    return r;
-  }();
-  return *registry;
+namespace {
+
+template <typename Cca>
+CcaRow row(std::string name, CongestionController* (*construct)(void*, Rng&)) {
+  // make_cca allocates a row with plain operator new.
+  static_assert(alignof(Cca) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+  return CcaRow{std::move(name), sizeof(Cca), alignof(Cca), construct};
 }
 
-void CcaRegistry::register_cca(const std::string& name, Factory factory) {
-  factories_[name] = std::move(factory);
-  placements_.erase(name);  // a re-registration may drop its placement
+CongestionController* construct_newreno(void* mem, Rng& /*rng*/) {
+  return new (mem) NewReno();
 }
 
-void CcaRegistry::register_cca(const std::string& name, Factory factory,
-                               const CcaPlacement& placement) {
-  factories_[name] = std::move(factory);
-  placements_[name] = placement;
+CongestionController* construct_cubic(void* mem, Rng& /*rng*/) {
+  return new (mem) Cubic();
 }
 
-const CcaPlacement* CcaRegistry::placement(const std::string& name) const {
-  auto it = placements_.find(name);
-  return it == placements_.end() ? nullptr : &it->second;
+CongestionController* construct_bbr(void* mem, Rng& rng) {
+  return new (mem) Bbr(BbrConfig{}, rng);
 }
 
-std::unique_ptr<CongestionController> CcaRegistry::create(const std::string& name,
-                                                          Rng& rng) const {
-  auto it = factories_.find(name);
-  if (it == factories_.end()) {
-    std::string known;
-    for (const auto& [n, _] : factories_) {
-      if (!known.empty()) known += ", ";
-      known += n;
-    }
-    throw std::invalid_argument("unknown CCA '" + name + "' (known: " + known + ")");
+template <uint64_t kMinCwnd>
+CongestionController* construct_bbr_mincwnd(void* mem, Rng& rng) {
+  BbrConfig config;
+  config.min_cwnd = kMinCwnd;
+  return new (mem) Bbr(config, rng);
+}
+
+template <size_t... I>
+std::vector<CcaRow> build_table(std::index_sequence<I...> /*rows*/) {
+  std::vector<CcaRow> rows = {
+      row<NewReno>("newreno", construct_newreno),
+      row<Cubic>("cubic", construct_cubic),
+      row<Bbr>("bbr", construct_bbr),
+      row<Bbr>(bbr_mincwnd_cca(kBbrMinCwnds[I]),
+               construct_bbr_mincwnd<kBbrMinCwnds[I]>)...,
+  };
+  std::sort(rows.begin(), rows.end(),
+            [](const CcaRow& a, const CcaRow& b) { return a.name < b.name; });
+  return rows;
+}
+
+}  // namespace
+
+std::string bbr_mincwnd_cca(uint64_t min_cwnd) {
+  return "bbr-mincwnd-" + std::to_string(min_cwnd);
+}
+
+std::span<const CcaRow> cca_table() {
+  static const std::vector<CcaRow> table =
+      build_table(std::make_index_sequence<std::size(kBbrMinCwnds)>{});
+  return table;
+}
+
+const CcaRow& cca_row(std::string_view name) {
+  for (const CcaRow& r : cca_table()) {
+    if (r.name == name) return r;
   }
-  return it->second(rng);
-}
-
-bool CcaRegistry::contains(const std::string& name) const {
-  return factories_.contains(name);
-}
-
-std::vector<std::string> CcaRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(factories_.size());
-  for (const auto& [n, _] : factories_) out.push_back(n);
-  return out;
+  std::string known;
+  for (const CcaRow& r : cca_table()) known += (known.empty() ? "" : ", ") + r.name;
+  throw std::invalid_argument("unknown CCA '" + std::string(name) + "' (known: " +
+                              known + ")");
 }
 
 std::unique_ptr<CongestionController> make_cca(const std::string& name, Rng& rng) {
-  return CcaRegistry::instance().create(name, rng);
+  const CcaRow& r = cca_row(name);
+  // Deleting the controller through its virtual destructor hands this
+  // storage back to the sized operator delete, with size == sizeof(Cca).
+  void* mem = ::operator new(r.size);
+  try {
+    return std::unique_ptr<CongestionController>(r.construct(mem, rng));
+  } catch (...) {
+    ::operator delete(mem);
+    throw;
+  }
 }
 
 }  // namespace ccas

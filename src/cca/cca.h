@@ -6,12 +6,12 @@
 // flight (cwnd) and *how fast* it may leave (pacing rate).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "src/util/units.h"
 
@@ -77,47 +77,32 @@ class CongestionController {
   [[nodiscard]] virtual bool owns_recovery_cwnd() const { return false; }
 };
 
-// Placement-construction recipe for a registered CCA: the concrete type's
-// footprint plus a constructor that builds it into caller-provided storage.
-// This is what lets the harness FlowTable lay a flow's controller inside
-// the flow's own slab instead of a separate heap island (DESIGN.md §12).
-// Optional: CCAs registered without one (external/test controllers) fall
-// back to the heap factory path.
-struct CcaPlacement {
+// One row of the fixed CCA table: a controller's name, the footprint of
+// its concrete type, and a constructor that builds it into caller-provided
+// storage of that size and alignment. The harness FlowTable lays every
+// flow's controller inside the flow's own slab this way (DESIGN.md §12);
+// make_cca builds the same row on the heap.
+struct CcaRow {
+  std::string name;
   size_t size = 0;
   size_t align = 0;
   CongestionController* (*construct)(void* mem, Rng& rng) = nullptr;
 };
 
-// Registry so the harness/examples can construct CCAs by name
-// ("newreno", "cubic", "bbr"). Factories get the flow's deterministic RNG.
-class CcaRegistry {
- public:
-  using Factory =
-      std::function<std::unique_ptr<CongestionController>(Rng& rng)>;
+// The minimum cwnds of BBR's min-cwnd ablation (ccas_figures
+// --figure=ablation_bbr_mincwnd); each has a row named bbr_mincwnd_cca().
+inline constexpr uint64_t kBbrMinCwnds[] = {2, 4, 8};
+[[nodiscard]] std::string bbr_mincwnd_cca(uint64_t min_cwnd);
 
-  static CcaRegistry& instance();
+// Every CCA, sorted by name: "bbr", one BBR per kBbrMinCwnds entry
+// ("bbr-mincwnd-2", ...), "cubic" and "newreno". The table is built once
+// and never changes; a new CCA is a new row in cca.cc.
+[[nodiscard]] std::span<const CcaRow> cca_table();
 
-  void register_cca(const std::string& name, Factory factory);
-  // Registers both the heap factory and a placement recipe. The two must
-  // construct identically-behaving controllers (the factory remains the
-  // source of truth for external callers holding unique_ptrs).
-  void register_cca(const std::string& name, Factory factory,
-                    const CcaPlacement& placement);
-  [[nodiscard]] std::unique_ptr<CongestionController> create(const std::string& name,
-                                                             Rng& rng) const;
-  // Placement recipe for `name`, or nullptr when the CCA was registered
-  // factory-only. The pointer stays valid for the registry's lifetime.
-  [[nodiscard]] const CcaPlacement* placement(const std::string& name) const;
-  [[nodiscard]] bool contains(const std::string& name) const;
-  [[nodiscard]] std::vector<std::string> names() const;
+// The row named `name`, or std::invalid_argument listing the known names.
+[[nodiscard]] const CcaRow& cca_row(std::string_view name);
 
- private:
-  std::map<std::string, Factory> factories_;
-  std::map<std::string, CcaPlacement> placements_;
-};
-
-// Convenience: create by name or throw with the list of known CCAs.
+// Builds `name`'s row on the heap, or throws as cca_row does.
 [[nodiscard]] std::unique_ptr<CongestionController> make_cca(const std::string& name,
                                                              Rng& rng);
 

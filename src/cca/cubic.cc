@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <new>
 
 namespace ccas {
 
@@ -97,15 +96,6 @@ void Cubic::on_rto(Time /*now*/) {
   ssthresh_ = std::max<uint64_t>(
       static_cast<uint64_t>(cwnd_ * config_.beta), config_.min_cwnd);
   cwnd_ = 1.0;
-}
-
-void register_cubic(CcaRegistry& registry) {
-  registry.register_cca(
-      "cubic", [](Rng& /*rng*/) { return std::make_unique<Cubic>(); },
-      CcaPlacement{sizeof(Cubic), alignof(Cubic),
-                   [](void* mem, Rng&) -> CongestionController* {
-                     return new (mem) Cubic();
-                   }});
 }
 
 }  // namespace ccas

@@ -53,6 +53,4 @@ class Cubic final : public CongestionController {
   TimeDelta min_rtt_at_epoch_ = TimeDelta::zero();
 };
 
-void register_cubic(CcaRegistry& registry);
-
 }  // namespace ccas

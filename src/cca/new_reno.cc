@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <new>
 
 namespace ccas {
 
@@ -43,15 +42,6 @@ void NewReno::on_rto(Time /*now*/) {
   ssthresh_ = std::max<uint64_t>(cwnd_ / 2, config_.min_cwnd);
   cwnd_ = 1;
   ack_credit_ = 0;
-}
-
-void register_new_reno(CcaRegistry& registry) {
-  registry.register_cca(
-      "newreno", [](Rng& /*rng*/) { return std::make_unique<NewReno>(); },
-      CcaPlacement{sizeof(NewReno), alignof(NewReno),
-                   [](void* mem, Rng&) -> CongestionController* {
-                     return new (mem) NewReno();
-                   }});
 }
 
 }  // namespace ccas

@@ -37,7 +37,4 @@ class NewReno final : public CongestionController {
   uint64_t ack_credit_ = 0;  // congestion-avoidance accumulator
 };
 
-// Registers "newreno" with the given registry (called by CcaRegistry).
-void register_new_reno(CcaRegistry& registry);
-
 }  // namespace ccas

@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "src/cca/cca.h"
-#include "src/util/rng.h"
 
 namespace ccas {
 
@@ -175,8 +174,7 @@ std::string name_of(const char* const (&names)[N], Enum value) {
 
 FlowGroup parse_group(Str text) {
   const auto f = fields("--groups entry", text, 3, 3, "cca:count:rtt_ms");
-  Rng probe(0);
-  (void)make_cca(f[0], probe);  // validate the name early
+  (void)cca_row(f[0]);  // validate the name early
   return FlowGroup{f[0], int_in("--groups count", f[1], 1, INT_MAX),
                    duration("--groups rtt", f[2], Min::kPositive, 1e3)};
 }
@@ -845,9 +843,7 @@ std::string usage_lines(const Flag<Opts> (&table)[N]) {
 
 std::string cli_usage() {
   std::string ccas;
-  for (const std::string& name : CcaRegistry::instance().names()) {
-    ccas += (ccas.empty() ? "" : ", ") + name;
-  }
+  for (const CcaRow& row : cca_table()) ccas += (ccas.empty() ? "" : ", ") + row.name;
   return "usage: ccas_run --groups=cca:count:rtt_ms[,...] [options]\n"
          "       ccas_run --workload=poisson:<per_sec> --workload-class=... "
          "[options]\n" +

@@ -21,7 +21,7 @@
 namespace ccas {
 
 struct FlowGroup {
-  std::string cca;  // registry name: "newreno", "cubic", "bbr"
+  std::string cca;  // a CCA table name (src/cca/cca.h): "newreno", "cubic", "bbr"
   int count = 1;
   TimeDelta rtt = TimeDelta::millis(20);
 };

@@ -26,20 +26,16 @@ FlowTable::Slot FlowTable::create(Simulator& sim, uint32_t flow_id,
                                   PacketSink* data_path, PacketSink* ack_path,
                                   const TcpSenderConfig& sender_config,
                                   const TcpReceiverConfig& receiver_config) {
-  const CcaPlacement* pl = CcaRegistry::instance().placement(cca_name);
+  const CcaRow& row = cca_row(cca_name);
 
-  // Slab layout: [Rng][TcpReceiver][TcpSender][CCA?], alignment-padded.
+  // Slab layout: [Rng][TcpReceiver][TcpSender][CCA], alignment-padded.
   const size_t off_rng = 0;
   const size_t off_recv =
       align_up(off_rng + sizeof(Rng), alignof(TcpReceiver));
   const size_t off_send =
       align_up(off_recv + sizeof(TcpReceiver), alignof(TcpSender));
-  size_t end = off_send + sizeof(TcpSender);
-  size_t off_cca = 0;
-  if (pl != nullptr) {
-    off_cca = align_up(end, pl->align);
-    end = off_cca + pl->size;
-  }
+  const size_t off_cca = align_up(off_send + sizeof(TcpSender), row.align);
+  const size_t end = off_cca + row.size;
   const auto slab_bytes = static_cast<uint32_t>(align_up(end, kSlabAlign));
 
   // Reuse a parked slab of the same size class if one exists.
@@ -63,17 +59,9 @@ FlowTable::Slot FlowTable::create(Simulator& sim, uint32_t flow_id,
   try {
     receiver =
         new (base + off_recv) TcpReceiver(sim, flow_id, ack_path, receiver_config);
-    if (pl != nullptr) {
-      cca = pl->construct(base + off_cca, *rng);
-      sender = new (base + off_send)
-          TcpSender(sim, flow_id, cca, data_path, sender_config);
-    } else {
-      // No placement recipe: the controller comes from the heap factory and
-      // the sender owns it, as before this table existed.
-      sender = new (base + off_send)
-          TcpSender(sim, flow_id, make_cca(cca_name, *rng), data_path,
-                    sender_config);
-    }
+    cca = row.construct(base + off_cca, *rng);
+    sender = new (base + off_send)
+        TcpSender(sim, flow_id, cca, data_path, sender_config);
   } catch (...) {
     if (cca != nullptr) cca->~CongestionController();
     if (receiver != nullptr) receiver->~TcpReceiver();
@@ -104,10 +92,9 @@ FlowTable::Slot FlowTable::create(Simulator& sim, uint32_t flow_id,
 }
 
 void FlowTable::destroy_objects(Entry& e) {
-  // Reverse of construction order; a sender-owned CCA dies inside the
-  // sender's destructor, a slab-resident one right after it.
+  // Reverse of construction order.
   e.sender->~TcpSender();
-  if (e.cca != nullptr) e.cca->~CongestionController();
+  e.cca->~CongestionController();
   e.receiver->~TcpReceiver();
   e.rng->~Rng();
   e.live = false;

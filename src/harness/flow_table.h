@@ -13,10 +13,8 @@
 // Construction order inside a slot is exactly the historical order
 // (rng -> receiver -> cca -> sender), so per-flow RNG streams — and
 // therefore every golden digest — are byte-identical to the make_unique
-// path. The CCA is placement-constructed via its registered CcaPlacement;
-// controllers registered factory-only (external/test CCAs) fall back to a
-// heap-owned controller held by the sender, with everything else still
-// slab-resident.
+// path. The CCA is placement-constructed from its row of the fixed CCA
+// table (src/cca/cca.h), so every controller is slab-resident.
 //
 // recycle() destroys a slot's objects and parks the slab on a size-keyed
 // free list; the next create() of a same-sized slot (the common case in
@@ -84,7 +82,7 @@ class FlowTable {
     Rng* rng = nullptr;
     TcpReceiver* receiver = nullptr;
     TcpSender* sender = nullptr;
-    CongestionController* cca = nullptr;  // slab-resident; null if heap-owned
+    CongestionController* cca = nullptr;
   };
 
   void destroy_objects(Entry& e);

@@ -64,8 +64,7 @@ void validate(const ExperimentSpec& spec) {
   for (const auto& g : spec.groups) {
     if (g.count <= 0) throw std::invalid_argument("flow group with count <= 0");
     if (g.rtt <= TimeDelta::zero()) throw std::invalid_argument("non-positive RTT");
-    Rng probe(0);
-    (void)make_cca(g.cca, probe);  // throws for unknown names
+    (void)cca_row(g.cca);  // throws for unknown names
   }
   if (spec.scenario.measure <= TimeDelta::zero()) {
     throw std::invalid_argument("non-positive measurement window");

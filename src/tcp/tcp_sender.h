@@ -116,8 +116,7 @@ class TcpSender final : public PacketSink {
   // By default the flow is a greedy source. enable_app_gate caps new data
   // at `initial_segments` until the application releases more; while the
   // released data is fully sent the delivery-rate estimator marks samples
-  // app-limited (RateSample::is_app_limited, which BBR/BBRv2 already
-  // consult), as Linux's tcp_rate_check_app_limited does. Never enabled by
+  // app-limited (RateSample::is_app_limited, which BBR already consults), as Linux's tcp_rate_check_app_limited does. Never enabled by
   // the fixed-flow experiment path, so golden behaviour is untouched.
   void enable_app_gate(uint64_t initial_segments);
   // Releases `segments` more to the sender (clamped to data_segments for

@@ -140,10 +140,7 @@ void WorkloadClass::validate() const {
   if (rtt <= TimeDelta::zero()) {
     bad("workload class '" + name + "': non-positive RTT");
   }
-  {
-    Rng probe(0);
-    (void)make_cca(cca, probe);  // throws for unknown names
-  }
+  (void)cca_row(cca);  // throws for unknown names
   size.validate();
   if (app != AppModel::kBulk) {
     if (app_burst_segments == 0) {

@@ -1,9 +1,12 @@
 // Coverage for the smaller public API surfaces: packet SACK encoding,
 // event-queue maintenance, simulator conveniences, unit formatting,
-// logging configuration, and registry introspection.
+// logging configuration, and CCA table introspection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "src/cca/cca.h"
 #include "src/net/packet.h"
@@ -98,35 +101,31 @@ TEST(Logging, EnvInitAndLevels) {
 }
 
 TEST(CcaRegistry, ListsBuiltins) {
-  const auto names = CcaRegistry::instance().names();
-  for (const char* expected : {"newreno", "cubic", "bbr", "bbr2", "vegas"}) {
-    EXPECT_TRUE(CcaRegistry::instance().contains(expected)) << expected;
-    bool found = false;
-    for (const auto& n : names) found |= (n == expected);
-    EXPECT_TRUE(found) << expected;
+  // The fixed table: the paper's three CCAs plus one BBR per ablated
+  // minimum cwnd, sorted by name, each row buildable by name.
+  std::vector<std::string> expected = {"newreno", "cubic", "bbr"};
+  for (const uint64_t min_cwnd : kBbrMinCwnds) {
+    expected.push_back(bbr_mincwnd_cca(min_cwnd));
+  }
+  std::vector<std::string> names;
+  for (const CcaRow& row : cca_table()) names.push_back(row.name);
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(names, expected);
+  for (const std::string& name : names) {
+    EXPECT_EQ(cca_row(name).name, name);
+    Rng rng(1);
+    EXPECT_NE(make_cca(name, rng), nullptr) << name;
+  }
+  // A min-cwnd row's BBR falls back to its own floor on an RTO.
+  for (const uint64_t min_cwnd : kBbrMinCwnds) {
+    Rng rng(1);
+    auto cca = make_cca(bbr_mincwnd_cca(min_cwnd), rng);
+    cca->on_rto(Time::zero());
+    EXPECT_EQ(cca->cwnd(), min_cwnd);
   }
   Rng rng(1);
   EXPECT_THROW(make_cca("definitely-not-a-cca", rng), std::invalid_argument);
-}
-
-TEST(CcaRegistry, CustomRegistrationIsUsable) {
-  class Fixed : public CongestionController {
-   public:
-    void on_ack(const AckEvent&) override {}
-    void on_congestion_event(Time, uint64_t) override {}
-    void on_recovery_exit(Time, uint64_t) override {}
-    void on_rto(Time) override {}
-    [[nodiscard]] uint64_t cwnd() const override { return 17; }
-    [[nodiscard]] std::string name() const override { return "fixed17"; }
-  };
-  CcaRegistry::instance().register_cca(
-      "fixed17", [](Rng&) { return std::make_unique<Fixed>(); });
-  Rng rng(1);
-  auto cca = make_cca("fixed17", rng);
-  EXPECT_EQ(cca->cwnd(), 17u);
-  EXPECT_TRUE(cca->pacing_rate().is_infinite());   // default: unpaced
-  EXPECT_FALSE(cca->owns_recovery_cwnd());         // default: PRR applies
-  EXPECT_EQ(cca->ssthresh(), 0u);                  // default: none
+  EXPECT_THROW((void)cca_row("definitely-not-a-cca"), std::invalid_argument);
 }
 
 }  // namespace

@@ -6,12 +6,14 @@
 #include <cstdint>
 #include <functional>
 #include <random>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/cca/cca.h"
 #include "src/harness/cli.h"
 #include "src/sweep/spec_hash.h"
 
@@ -524,9 +526,8 @@ class SpecGen {
     return TimeDelta::nanos(pick(lo, static_cast<int64_t>(hi)));
   }
   std::string cca() {
-    static const char* const kCcas[] = {"newreno", "cubic", "bbr",
-                                        "bbr2",    "vegas", "copa"};
-    return kCcas[pick(0, 5)];
+    const std::span<const CcaRow> table = cca_table();
+    return table[pick(0, static_cast<int64_t>(table.size()) - 1)].name;
   }
 
   std::mt19937_64 rng_;

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "src/cca/cca.h"
 #include "src/sweep/spec_hash.h"
 
 namespace ccas {
@@ -187,8 +188,24 @@ TEST(Cli, JobsEnvIsAsStrictAsTheFlag) {
 
 TEST(Cli, UsageMentionsEveryCca) {
   const std::string usage = cli_usage();
-  for (const char* cca : {"newreno", "cubic", "bbr", "bbr2", "vegas", "copa"}) {
-    EXPECT_NE(usage.find(cca), std::string::npos) << cca;
+  for (const CcaRow& row : cca_table()) {
+    EXPECT_NE(usage.find(row.name), std::string::npos) << row.name;
+  }
+}
+
+TEST(Cli, DeletedCcasAreUnknown) {
+  // Copa, Vegas and BBRv2-lite are gone: naming one is a usage error
+  // (ccas_run exits 1) that lists the CCAs there are.
+  for (const std::string cca : {"vegas", "copa", "bbr2"}) {
+    try {
+      (void)parse_cli({"--groups=" + cca + ":1:20"});
+      ADD_FAILURE() << cca << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unknown CCA '" + cca +
+                    "' (known: bbr, bbr-mincwnd-2, bbr-mincwnd-4, bbr-mincwnd-8, "
+                    "cubic, newreno)");
+    }
   }
 }
 
@@ -734,7 +751,7 @@ TEST(Cli, WorkloadSpecCliRoundTrip) {
        "--workload-class=bulk:0.1:bbr:40:lognormal/5.5/1.25/10/10000:bulk"},
       {"--groups=cubic:4:20", "--workload=fixed:100", "--workload-max=500",
        "--workload-class=rr:0.5:newreno:30:fixed/12:rr/4/20",
-       "--workload-class=video:0.5:bbr2:60:fixed/64:video/16/40"},
+       "--workload-class=video:0.5:bbr-mincwnd-8:60:fixed/64:video/16/40"},
       {"--workload=poisson:33.5",
        "--workload-class=emp:1:cubic:25:cdf/" + cdf + ":bulk"},
   };

@@ -7,13 +7,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <memory>
+#include <iterator>
 #include <set>
 #include <string>
 #include <utility>
 
 #include "bench/figures.h"
-#include "src/cca/bbr.h"
+#include "src/cca/cca.h"
+#include "src/harness/cli.h"
 #include "src/sweep/spec_hash.h"
 
 namespace ccas::bench {
@@ -81,28 +82,28 @@ TEST(FigureTable, GridsMatchParentBenches) {
   }
 }
 
-TEST(FigureTable, MinCwndCcasRegisterOnce) {
+TEST(FigureTable, EveryCellReplays) {
+  // A quarantined cell's .repro is its spec_to_cli command line, run by a
+  // fresh ccas_run: every cell it can render must parse back to the same
+  // cache key, the min-cwnd ablation's table-only CCA names included.
   unset_repro_env();
-  const Figure* figure = nullptr;
-  for (const Figure& f : figure_table()) {
-    if (f.id == "ablation_bbr_mincwnd") figure = &f;
+  size_t replayed = 0;
+  size_t mincwnd_replayed = 0;
+  for (const Figure& figure : figure_table()) {
+    for (const FigureCell& cell : figure.grid()) {
+      SCOPED_TRACE(figure.id + ": " + cell.name);
+      const SpecCliRendering rendering = spec_to_cli(cell.spec);
+      if (!rendering.notes.empty()) continue;
+      CliOptions parsed;
+      ASSERT_NO_THROW(parsed = parse_cli(rendering.args))
+          << spec_to_cli_command(cell.spec);
+      EXPECT_EQ(sweep::spec_cache_key(parsed.spec), sweep::spec_cache_key(cell.spec));
+      ++replayed;
+      if (figure.id == "ablation_bbr_mincwnd") ++mincwnd_replayed;
+    }
   }
-  ASSERT_NE(figure, nullptr);
-  (void)figure->grid();
-  // Swap in a marked (otherwise identical) factory: building the grid again
-  // must leave it in place, since re-registering would race with a sweep
-  // that is already looking factories up.
-  static bool marked_factory_used = false;
-  CcaRegistry::instance().register_cca("bbr-mincwnd-2", [](Rng& rng) {
-    marked_factory_used = true;
-    BbrConfig cfg;
-    cfg.min_cwnd = 2;
-    return std::make_unique<Bbr>(cfg, rng);
-  });
-  (void)figure->grid();
-  Rng rng(1);
-  ASSERT_NE(CcaRegistry::instance().create("bbr-mincwnd-2", rng), nullptr);
-  EXPECT_TRUE(marked_factory_used);
+  EXPECT_GT(replayed, 0u);
+  EXPECT_EQ(mincwnd_replayed, std::size(kBbrMinCwnds));
 }
 
 }  // namespace

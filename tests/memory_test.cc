@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/cca/cca.h"
 #include "src/harness/flow_table.h"
 #include "src/net/packet.h"
 #include "src/sim/simulator.h"
@@ -254,12 +255,17 @@ TEST(FlowTable, BuildsEveryRegisteredCca) {
   NullSink sink;
   FlowTable table;
   uint32_t id = 0;
-  for (const std::string cca :
-       {"newreno", "cubic", "bbr", "bbr2", "vegas", "copa"}) {
+  for (const CcaRow& row : cca_table()) {
+    const std::string& cca = row.name;
     FlowTable::Slot s = table.create(sim, id, Rng(id + 1), cca, &sink, &sink,
                                      TcpSenderConfig{}, TcpReceiverConfig{});
     ASSERT_NE(s.sender, nullptr) << cca;
     ASSERT_NE(s.receiver, nullptr) << cca;
+    // The controller lives in the flow's slab, right after its sender.
+    const auto* sender_end = reinterpret_cast<const char*>(s.sender) + sizeof(TcpSender);
+    const auto* cca_at = reinterpret_cast<const char*>(&s.sender->cca());
+    EXPECT_GE(cca_at, sender_end) << cca;
+    EXPECT_LT(cca_at, sender_end + row.align) << cca;
     table.recycle(s);
     ++id;
   }

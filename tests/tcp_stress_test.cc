@@ -4,6 +4,7 @@
 // receive stream once loss stops, and never violates pipe accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -66,8 +67,8 @@ void PrintTo(const LossCase& c, std::ostream* os) {
 
 std::vector<LossCase> loss_cases() {
   std::vector<LossCase> cases;
-  for (const char* cca : {"newreno", "cubic", "bbr", "bbr2", "vegas"}) {
-    for (const int permille : {1, 10, 50, 200}) cases.push_back({cca, permille});
+  for (const CcaRow& row : cca_table()) {
+    for (const int permille : {1, 10, 50, 200}) cases.push_back({row.name, permille});
   }
   return cases;
 }
@@ -116,7 +117,10 @@ TEST_P(RandomLossStress, SurvivesAndRecovers) {
 INSTANTIATE_TEST_SUITE_P(
     CcasAndLossRates, RandomLossStress, ::testing::ValuesIn(loss_cases()),
     [](const ::testing::TestParamInfo<LossCase>& info) {
-      return info.param.cca + "_loss" + std::to_string(info.param.permille) + "permille";
+      // gtest names allow only [A-Za-z0-9_]: "bbr-mincwnd-2" -> "bbr_mincwnd_2".
+      std::string name = info.param.cca;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name + "_loss" + std::to_string(info.param.permille) + "permille";
     });
 
 }  // namespace

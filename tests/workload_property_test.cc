@@ -191,12 +191,12 @@ ExperimentSpec random_workload_spec(Rng& rng, bool with_groups) {
   if (rng.next_double() < 0.3) spec.workload.max_concurrent = 32;
 
   const int nclasses = 1 + static_cast<int>(rng.next_double() * 3.0);
-  const char* ccas[] = {"cubic", "newreno", "bbr", "bbr2"};
+  const char* ccas[] = {"cubic", "newreno", "bbr"};
   for (int c = 0; c < nclasses; ++c) {
     WorkloadClass cls;
     cls.name = "c" + std::to_string(c);
     cls.weight = 1.0 / nclasses;
-    cls.cca = ccas[static_cast<int>(rng.next_double() * 4.0)];
+    cls.cca = ccas[static_cast<int>(rng.next_double() * 3.0)];
     cls.rtt = TimeDelta::millis(10 + static_cast<int64_t>(rng.next_double() * 70.0));
     const double sz = rng.next_double();
     if (sz < 0.4) {

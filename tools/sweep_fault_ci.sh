@@ -335,6 +335,16 @@ if ! grep -q CCAS_SHARDS "$WORK/shards_env.out.err"; then
   echo "FAIL [shards-removed-env]: the error does not name CCAS_SHARDS" >&2
   FAILURES=$((FAILURES + 1))
 fi
+# Copa, Vegas and BBRv2-lite are not in the CCA table: naming one is a
+# usage error that lists the CCAs there are.
+for cca in vegas copa bbr2; do
+  run_case "deleted-cca-$cca" 1 "$WORK/cca_$cca.out" \
+    "$RUN" "${BASE_FLAGS[@]}" --groups="$cca:1:20"
+  if ! grep -q "unknown CCA '$cca' (known: bbr, " "$WORK/cca_$cca.out.err"; then
+    echo "FAIL [deleted-cca-$cca]: no unknown-CCA error" >&2
+    FAILURES=$((FAILURES + 1))
+  fi
+done
 
 # --- 12. ccas_figures: bad input and a failed cell exit 1 ------------------
 # The per-figure bench binaries it replaced ran --jobs=3x with 3 workers,
